@@ -115,7 +115,7 @@ int Run(int admin_port, int admin_linger_s) {
   // --- the drooping crawl: good = {mutual_funds} only ---
   crawl::CrawlerOptions copts;
   copts.max_fetches = 1500;
-  copts.num_threads = 4;  // the pipeline, so the stage report has content
+  copts.num_threads = 4;  // several workers, so the report shows stealing
   copts.event_log = &event_log;
   // Baseline the registry-delta reporter before any pages move. With
   // Start() it would log a delta every interval; here we pull one report

@@ -20,7 +20,7 @@
 #include "crawl/retry_policy.h"
 #include "distill/distiller.h"
 #include "sql/catalog.h"
-#include "text/tokenizer.h"
+#include "text/document.h"
 #include "util/clock.h"
 #include "webgraph/simulated_web.h"
 
@@ -96,8 +96,7 @@ struct CrawlerOptions {
   int num_threads = 1;
   // Pages accumulated by a fetch worker before one batched classify call
   // (the paper's §2.1.3 batching insight applied to the live crawl loop).
-  // Only the multi-threaded pipeline batches; single-threaded crawls judge
-  // page-by-page for exact historical determinism.
+  // At every thread count one batch is also one durable WAL commit.
   int classify_batch_size = 32;
   // Frontier shards, keyed by ServerIdOf(url). 0 = auto: one shard
   // single-threaded (exactly the classic frontier), else two per thread.
@@ -112,10 +111,9 @@ struct CrawlerOptions {
 
   // Every Nth committed crawl batch is promoted to a CrawlDb::Checkpoint
   // (overlay flush + log truncation), so crash recovery replays at most
-  // one interval of commits. 0 disables periodic checkpoints; -1 inherits
-  // core::FocusOptions::checkpoint_every_batches (64 when the crawler is
-  // built standalone). No-op without a WAL-backed CrawlDb.
-  int checkpoint_every_batches = -1;
+  // one interval of commits. 0 disables periodic checkpoints. No-op
+  // without a WAL-backed CrawlDb.
+  int checkpoint_every_batches = 64;
 
   // Registry for the crawler's stage metrics; nullptr = process-global.
   // Benchmarks pass a private registry so repeated runs start from zero.
@@ -129,8 +127,8 @@ struct CrawlerOptions {
 
   // Distributed crawl hooks (src/dist). `link_sink` diverts expansion of
   // non-owned URLs into the cross-shard exchange; nullptr = single-shard
-  // behavior. `interrupt` is polled with the current virtual time at every
-  // step/batch boundary; a non-OK return aborts the crawl with that status
+  // behavior. `interrupt` is polled with the worker's virtual time before
+  // every classify batch; a non-OK return aborts the crawl with that status
   // (the ShardFaultPlan's scheduled shard deaths). Both borrowed/copied;
   // the sink must outlive the crawler.
   CrossShardLinkSink* link_sink = nullptr;
@@ -233,11 +231,9 @@ class Crawler {
     text::TermVector terms;
   };
 
-  // One fetch-classify-expand step (single-threaded path); false when the
-  // frontier is empty or the budget is spent.
-  Result<bool> Step();
-  // The concurrent pipeline (num_threads > 1): sharded frontier pops,
-  // micro-batched classification, fine-grained critical sections.
+  // The crawl loop at every thread count (one worker per thread): sharded
+  // frontier pops, micro-batched classification, fine-grained critical
+  // sections.
   Status RunPipeline();
   // One worker's loop. `worker` indexes its preferred frontier shard;
   // `worker_clock` accumulates the worker's virtual fetch timeline.
@@ -287,7 +283,6 @@ class Crawler {
   CrawlerOptions options_;
   ShardedFrontier frontier_;  // internally locked, one lock per shard
   VirtualClock clock_;
-  text::Tokenizer tokenizer_;
   distill::DistillTables distill_tables_;
   bool distill_tables_ready_ = false;
   sql::Catalog* catalog_;

@@ -56,7 +56,7 @@ inline constexpr char kShardDeathMessage[] = "simulated shard death";
 bool IsShardDeath(const Status& status);
 
 // Scheduled shard deaths at virtual crawl times. The crawler polls its
-// shard's schedule at every step boundary (CrawlerOptions::interrupt);
+// shard's schedule at every batch boundary (CrawlerOptions::interrupt);
 // each kill fires exactly once, so the supervisor's restart survives.
 class ShardFaultPlan {
  public:

@@ -227,9 +227,12 @@ class WalDiskManager final : public DiskManager {
     // checkpoint, which folds the overlay into the data device and
     // recycles every in-use segment. Steady-state log disk usage is then
     // bounded by recycle_after_segments * segment_pages + one commit's
-    // worth of pages, no matter how long the workload runs. 0 = off
-    // (callers checkpoint explicitly).
-    uint32_t recycle_after_segments = 0;
+    // worth of pages, no matter how long the workload runs, and so is the
+    // in-memory overlay of committed-but-unfolded pages. The default (4 x
+    // 256 pages, ~4 MiB of log) caps the overlay even for callers whose own
+    // checkpoint cadence is per batch count. 0 = off (callers checkpoint
+    // explicitly).
+    uint32_t recycle_after_segments = 4;
   };
 
   // Attaches to `data` + `log` (borrowed; must outlive the manager) and

@@ -50,7 +50,8 @@ FrontierEntry Entry(uint64_t oid, const std::string& url, double relevance,
 
 TEST(ShardedFrontierTest, SingleShardMatchesPlainFrontierOrder) {
   // With one shard the sharded frontier must reproduce the classic
-  // frontier's pop sequence exactly (single-threaded crawls depend on it).
+  // frontier's pop sequence exactly (single-threaded crawls depend on it:
+  // their lone worker pops with PopPreferShard(0, now)).
   Frontier plain(PriorityPolicy::kAggressiveDiscovery);
   ShardedFrontier sharded(PriorityPolicy::kAggressiveDiscovery, 1);
   std::vector<FrontierEntry> entries = {
@@ -70,7 +71,7 @@ TEST(ShardedFrontierTest, SingleShardMatchesPlainFrontierOrder) {
   ASSERT_EQ(plain.size(), sharded.size());
   while (!plain.empty()) {
     auto expected = plain.PopBest();
-    auto got = sharded.PopBest();
+    auto got = sharded.PopPreferShard(0, crawl::kNoTimeGate, nullptr);
     ASSERT_TRUE(expected.has_value());
     ASSERT_TRUE(got.has_value());
     EXPECT_EQ(expected->oid, got->oid);

@@ -348,6 +348,8 @@ TEST(DistributedCrawlTest, ExchangeCrashMatrixDeliversExactlyOnce) {
     dopts.crawler.max_fetches = 20000;
     dopts.crawler.distill_every = 0;
     dopts.crawler.checkpoint_every_batches = 4;
+    // One page per durable batch keeps the crash points dense.
+    dopts.crawler.classify_batch_size = 1;
     dopts.store_provider = [&](int s, int boot) -> Result<ShardDevices> {
       if (boot > 0) plan.Reset(kNever);
       decorators.emplace_back(&data[s], &plan);

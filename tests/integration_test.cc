@@ -66,22 +66,6 @@ TEST(FocusSystemTest, SoftFocusBeatsUnfocusedHarvest) {
   Cid cycling = system->tax().FindByName("cycling").value();
   auto seeds = system->web().KeywordSeeds(cycling, 15);
 
-  CrawlerOptions focused;
-  focused.max_fetches = 1200;
-  focused.expansion = ExpansionRule::kSoftFocus;
-  focused.distill_every = 300;  // the full system: distiller runs too
-  auto focused_session = system->NewCrawl(seeds, focused);
-  ASSERT_TRUE(focused_session.ok());
-  ASSERT_TRUE(focused_session.value()->crawler().Crawl().ok());
-
-  CrawlerOptions unfocused;
-  unfocused.max_fetches = 2400;  // BFS needs more runway to get fully lost
-  unfocused.expansion = ExpansionRule::kUnfocused;
-  unfocused.policy = PriorityPolicy::kBreadthFirst;
-  auto unfocused_session = system->NewCrawl(seeds, unfocused);
-  ASSERT_TRUE(unfocused_session.ok());
-  ASSERT_TRUE(unfocused_session.value()->crawler().Crawl().ok());
-
   auto avg_rel = [](const std::vector<crawl::Visit>& visits, size_t skip) {
     double sum = 0;
     size_t n = 0;
@@ -91,16 +75,38 @@ TEST(FocusSystemTest, SoftFocusBeatsUnfocusedHarvest) {
     }
     return n == 0 ? 0.0 : sum / n;
   };
-  // Compare sustained harvest well past the seed neighbourhood (Figure 5:
-  // the standard crawler is "completely lost within the next hundred page
-  // fetches" while the focused crawler "keeps up a healthy pace").
-  double focused_harvest =
-      avg_rel(focused_session.value()->crawler().visits(), 600);
-  double unfocused_harvest =
-      avg_rel(unfocused_session.value()->crawler().visits(), 1200);
-  EXPECT_GT(focused_harvest, 0.2);
-  EXPECT_LT(unfocused_harvest, 0.12);
-  EXPECT_GT(focused_harvest, 2 * unfocused_harvest);
+  // Focus must hold for the lone-worker crawl and the concurrent one alike.
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(testing::Message() << threads << " crawl threads");
+    CrawlerOptions focused;
+    focused.num_threads = threads;
+    focused.max_fetches = 1200;
+    focused.expansion = ExpansionRule::kSoftFocus;
+    focused.distill_every = 300;  // the full system: distiller runs too
+    auto focused_session = system->NewCrawl(seeds, focused);
+    ASSERT_TRUE(focused_session.ok());
+    ASSERT_TRUE(focused_session.value()->crawler().Crawl().ok());
+
+    CrawlerOptions unfocused;
+    unfocused.num_threads = threads;
+    unfocused.max_fetches = 2400;  // BFS needs more runway to get fully lost
+    unfocused.expansion = ExpansionRule::kUnfocused;
+    unfocused.policy = PriorityPolicy::kBreadthFirst;
+    auto unfocused_session = system->NewCrawl(seeds, unfocused);
+    ASSERT_TRUE(unfocused_session.ok());
+    ASSERT_TRUE(unfocused_session.value()->crawler().Crawl().ok());
+
+    // Compare sustained harvest well past the seed neighbourhood (Figure
+    // 5: the standard crawler is "completely lost within the next hundred
+    // page fetches" while the focused crawler "keeps up a healthy pace").
+    double focused_harvest =
+        avg_rel(focused_session.value()->crawler().visits(), 600);
+    double unfocused_harvest =
+        avg_rel(unfocused_session.value()->crawler().visits(), 1200);
+    EXPECT_GT(focused_harvest, 0.2);
+    EXPECT_LT(unfocused_harvest, 0.12);
+    EXPECT_GT(focused_harvest, 2 * unfocused_harvest);
+  }
 }
 
 TEST(FocusSystemTest, FocusedCrawlStaysOnTrueTopic) {

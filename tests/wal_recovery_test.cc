@@ -684,10 +684,12 @@ class ConstantEvaluator final : public crawl::RelevanceEvaluator {
   }
 };
 
-// Runs a WAL-backed crawl of `fetches` pages with the given checkpoint
-// interval, then "crashes" (drops the crawler without a final checkpoint)
-// and reopens the devices. Returns the reopened WAL's recovery stats.
-storage::WalStats CrawlThenRecover(int fetches, int checkpoint_every) {
+// Runs a one-thread WAL-backed crawl of `fetches` pages with the given
+// checkpoint interval and classify batch size (one batch = one commit),
+// then "crashes" (drops the crawler without a final checkpoint) and reopens
+// the devices. Returns the reopened WAL's recovery stats.
+storage::WalStats CrawlThenRecover(int fetches, int checkpoint_every,
+                                   int batch_size) {
   taxonomy::Taxonomy tax;
   taxonomy::Cid rec =
       tax.AddTopic(taxonomy::kRootCid, "recreation").value();
@@ -710,6 +712,7 @@ storage::WalStats CrawlThenRecover(int fetches, int checkpoint_every) {
     crawl::CrawlerOptions options;
     options.max_fetches = fetches;
     options.checkpoint_every_batches = checkpoint_every;
+    options.classify_batch_size = batch_size;
     crawl::Crawler crawler(&web.value(), &evaluator, &db, &catalog,
                            options);
     EXPECT_TRUE(crawler.AddSeed(web.value().page(0).url).ok());
@@ -781,8 +784,10 @@ TEST(CrawlerRevisitTest, RevisitLoopKeepsLogDiskBounded) {
             (recycle.recycle_after_segments + 1) * recycle.segment_pages +
                 bounded_pages.front());
 
+  WalDiskManager::Options no_recycle;
+  no_recycle.recycle_after_segments = 0;
   std::vector<uint32_t> unbounded_pages;
-  storage::WalStats unbounded = run({}, &unbounded_pages);
+  storage::WalStats unbounded = run(no_recycle, &unbounded_pages);
   EXPECT_EQ(unbounded.segments_recycled, 0u);
   EXPECT_GT(unbounded_pages.back(), unbounded_pages.front());
   EXPECT_GT(unbounded_pages.back(), bounded_pages.back());
@@ -791,18 +796,32 @@ TEST(CrawlerRevisitTest, RevisitLoopKeepsLogDiskBounded) {
 TEST(CrawlerCheckpointTest, RecoveryReplaysAtMostOneCheckpointInterval) {
   constexpr int kFetches = 40;
   constexpr int kInterval = 8;
+  // One page per batch, so the crawl makes one commit per page.
+  constexpr int kBatch = 1;
   // With periodic checkpoints the log never accumulates more than one
   // interval of commits, no matter how long the crawl ran.
-  storage::WalStats bounded = CrawlThenRecover(kFetches, kInterval);
+  storage::WalStats bounded = CrawlThenRecover(kFetches, kInterval, kBatch);
   EXPECT_LE(bounded.recovered_commits, static_cast<uint64_t>(kInterval))
       << "log held more than one checkpoint interval of commits";
 
   // Control: checkpointing off — every commit of the whole crawl is
   // still in the log and must be replayed.
-  storage::WalStats unbounded = CrawlThenRecover(kFetches, 0);
+  storage::WalStats unbounded = CrawlThenRecover(kFetches, 0, kBatch);
   EXPECT_GT(unbounded.recovered_commits,
             static_cast<uint64_t>(kInterval));
   EXPECT_GE(unbounded.recovered_commits, static_cast<uint64_t>(kFetches));
+}
+
+TEST(CrawlerCheckpointTest, OneThreadCrawlCommitsOncePerClassifyBatch) {
+  // A one-thread crawl is the pipeline with one worker: each classify batch
+  // (default 32 pages) is one durable commit, so a 40-page crawl with
+  // checkpoints off leaves only a handful of commits to replay — the seed's
+  // batch, one full batch and the remainder — not one per page.
+  constexpr int kFetches = 40;
+  const int batch = crawl::CrawlerOptions{}.classify_batch_size;
+  storage::WalStats stats = CrawlThenRecover(kFetches, 0, batch);
+  EXPECT_GT(stats.recovered_commits, 0u);
+  EXPECT_LE(stats.recovered_commits, 3u);
 }
 
 }  // namespace
