@@ -283,6 +283,12 @@ Status CrawlDb::AddUrl(std::string_view url, double relevance_estimate,
   if (!rids.empty()) {
     return Status::AlreadyExists(StrCat("url ", url));
   }
+  return AddUnknownUrl(url, relevance_estimate, serverload);
+}
+
+Status CrawlDb::AddUnknownUrl(std::string_view url, double relevance_estimate,
+                              int32_t serverload) {
+  uint64_t oid = UrlOid(url);
   return crawl_
       ->Insert(Tuple({Value::Int64(static_cast<int64_t>(oid)),
                       Value::Str(std::string(url)),

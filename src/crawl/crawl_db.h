@@ -109,6 +109,11 @@ class CrawlDb {
   // Inserts a new URL row (visited = 0). AlreadyExists if the oid is known.
   Status AddUrl(std::string_view url, double relevance_estimate,
                 int32_t serverload);
+  // AddUrl without its by_oid probe, for a caller that has just seen
+  // Lookup(UrlOid(url)) return no row: each outlink then costs one index
+  // probe, not two. A known oid would get a duplicate row.
+  Status AddUnknownUrl(std::string_view url, double relevance_estimate,
+                       int32_t serverload);
 
   // Fetch-attempt bookkeeping: numtries += 1.
   Status RecordAttempt(uint64_t oid);

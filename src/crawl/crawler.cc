@@ -169,10 +169,12 @@ Status Crawler::RefreshPageRankPriorities() {
     FOCUS_RETURN_IF_ERROR(it.status());
   }
   std::vector<double> rank = distill::PageRank(node_index.size(), edges);
-  for (FrontierEntry entry : frontier_.Snapshot()) {
+  for (const FrontierEntry& entry : frontier_.Snapshot()) {
     auto it = node_index.find(entry.oid);
-    entry.hub_score = it == node_index.end() ? 0.0 : rank[it->second];
-    frontier_.AddOrUpdate(entry);
+    double score = it == node_index.end() ? 0.0 : rank[it->second];
+    frontier_.UpdateIfPresent(entry.oid, [score](FrontierEntry* e) {
+      e->hub_score = score;
+    });
   }
   return Status::OK();
 }
@@ -221,8 +223,8 @@ Status Crawler::ExpandLinks(const webgraph::SimulatedWeb::FetchResult& fetch,
                                db_->Lookup(UrlOid(root)));
         if (!known.has_value()) {
           FOCUS_RETURN_IF_ERROR(
-              db_->AddUrl(root, judgment.relevance,
-                          server_fetches_[ServerIdOf(root)]));
+              db_->AddUnknownUrl(root, judgment.relevance,
+                                 server_fetches_[ServerIdOf(root)]));
           FrontierEntry entry;
           entry.oid = UrlOid(root);
           entry.url = root;
@@ -243,7 +245,7 @@ Status Crawler::ExpandLinks(const webgraph::SimulatedWeb::FetchResult& fetch,
     double estimate = judgment.relevance;
     int32_t load = server_fetches_[ServerIdOf(dst)];
     if (!existing.has_value()) {
-      FOCUS_RETURN_IF_ERROR(db_->AddUrl(dst, estimate, load));
+      FOCUS_RETURN_IF_ERROR(db_->AddUnknownUrl(dst, estimate, load));
       FrontierEntry entry;
       entry.oid = dst_oid;
       entry.url = dst;
@@ -264,15 +266,11 @@ Status Crawler::ExpandLinks(const webgraph::SimulatedWeb::FetchResult& fetch,
       if (estimate > existing->relevance) {
         FOCUS_RETURN_IF_ERROR(db_->RaiseRelevance(dst_oid, estimate));
       }
-      if (std::optional<FrontierEntry> in_frontier =
-              frontier_.PeekCopy(dst_oid);
-          in_frontier.has_value()) {
-        FrontierEntry updated = *in_frontier;
-        updated.relevance = std::max(updated.relevance, estimate);
-        updated.serverload = load;
-        updated.backlinks = backlinks;
-        frontier_.AddOrUpdate(updated);
-      }
+      frontier_.UpdateIfPresent(dst_oid, [&](FrontierEntry* e) {
+        e->relevance = std::max(e->relevance, estimate);
+        e->serverload = load;
+        e->backlinks = backlinks;
+      });
     }
   }
   return Status::OK();
@@ -307,7 +305,8 @@ Status Crawler::AdmitRemoteLink(std::string_view url, double relevance,
   FOCUS_ASSIGN_OR_RETURN(std::optional<CrawlRecord> existing,
                          db_->Lookup(oid));
   if (!existing.has_value()) {
-    FOCUS_RETURN_IF_ERROR(db_->AddUrl(url, relevance, server_fetches_[sid]));
+    FOCUS_RETURN_IF_ERROR(
+        db_->AddUnknownUrl(url, relevance, server_fetches_[sid]));
     FrontierEntry entry;
     entry.oid = oid;
     entry.url = std::string(url);
@@ -329,13 +328,10 @@ Status Crawler::AdmitRemoteLink(std::string_view url, double relevance,
   if (relevance > existing->relevance) {
     FOCUS_RETURN_IF_ERROR(db_->RaiseRelevance(oid, relevance));
   }
-  if (std::optional<FrontierEntry> in_frontier = frontier_.PeekCopy(oid);
-      in_frontier.has_value()) {
-    FrontierEntry updated = *in_frontier;
-    updated.relevance = std::max(updated.relevance, relevance);
-    updated.backlinks = backlinks;
-    frontier_.AddOrUpdate(updated);
-  }
+  frontier_.UpdateIfPresent(oid, [&](FrontierEntry* e) {
+    e->relevance = std::max(e->relevance, relevance);
+    e->backlinks = backlinks;
+  });
   return Status::OK();
 }
 
@@ -381,15 +377,13 @@ Status Crawler::RunDistillationBoost() {
     for (const auto& rid : rids) {
       FOCUS_RETURN_IF_ERROR(link->Get(rid, &row));
       uint64_t dst_oid = static_cast<uint64_t>(row.Get(2).AsInt64());
-      std::optional<FrontierEntry> entry = frontier_.PeekCopy(dst_oid);
-      if (!entry.has_value()) continue;
+      bool boosted = frontier_.UpdateIfPresent(dst_oid, [&](FrontierEntry* e) {
+        e->relevance = std::max(e->relevance, options_.hub_boost_relevance);
+        e->hub_score = score;
+      });
+      if (!boosted) continue;
       FOCUS_RETURN_IF_ERROR(
           db_->RaiseRelevance(dst_oid, options_.hub_boost_relevance));
-      FrontierEntry boosted = *entry;
-      boosted.relevance =
-          std::max(boosted.relevance, options_.hub_boost_relevance);
-      boosted.hub_score = score;
-      frontier_.AddOrUpdate(boosted);
     }
   }
   return Status::OK();
@@ -579,37 +573,37 @@ Status Crawler::ScheduleRevisits(const sql::Table* hubs, int count) {
   return Status::OK();
 }
 
-std::vector<FrontierEntry> Crawler::GatherBatch(int worker,
-                                                VirtualClock* worker_clock) {
-  std::vector<FrontierEntry> batch;
-  batch.reserve(options_.classify_batch_size);
+Crawler::GatheredBatch Crawler::GatherBatch(int worker,
+                                            VirtualClock* worker_clock) {
+  GatheredBatch out;
+  out.entries.reserve(options_.classify_batch_size);
   int shard = worker % frontier_.num_shards();
-  uint64_t breaker_skips = 0;
-  while (static_cast<int>(batch.size()) < options_.classify_batch_size) {
-    {
-      // Reserve one budget slot; release it below if the frontier is dry.
-      std::lock_guard<std::mutex> lock(state_mutex_);
-      if (static_cast<int>(visits_.size()) + in_flight_.load() >=
-          options_.max_fetches) {
-        break;
+  // A budget slot reserved but not yet bound to a batch entry, and whether
+  // it held a breaker-parked entry meanwhile (such a slot is released only
+  // under state_mutex_; see budget_used_).
+  bool holding_slot = false;
+  bool slot_parked = false;
+  while (static_cast<int>(out.entries.size()) < options_.classify_batch_size) {
+    if (!holding_slot) {
+      int used = budget_used_.load();
+      while (used < options_.max_fetches &&
+             !budget_used_.compare_exchange_weak(used, used + 1)) {
       }
-      in_flight_.fetch_add(1);
+      if (used >= options_.max_fetches) break;
+      holding_slot = true;
     }
     bool stolen = false;
     int64_t now = worker_clock->NowMicros();
     std::optional<FrontierEntry> entry =
         frontier_.PopPreferShard(shard, now, &stolen);
-    if (!entry.has_value()) {
-      in_flight_.fetch_sub(1);
-      break;
-    }
+    if (!entry.has_value()) break;
     if (options_.breaker.enabled) {
       BreakerOutcome adm = breaker_.Admit(ServerIdOf(entry->url), now);
       NoteBreakerOutcome(adm);
       if (!adm.allow) {
         // Quarantined server: re-park until the breaker's next
         // probe/cooldown deadline (never earlier than now + 1, so the pop
-        // loop cannot spin).
+        // loop cannot spin). The slot is reused for the next pop.
         if (options_.event_log != nullptr) {
           options_.event_log->Record(obs::CrawlEventType::kBreakerDenied,
                                      static_cast<int64_t>(entry->oid),
@@ -621,20 +615,22 @@ std::vector<FrontierEntry> Crawler::GatherBatch(int worker,
         FrontierEntry parked = std::move(*entry);
         parked.ready_at_us = std::max(adm.retry_at_us, now + 1);
         frontier_.AddOrUpdate(parked);
-        in_flight_.fetch_sub(1);
-        ++breaker_skips;
+        slot_parked = true;
+        ++out.breaker_skips;
         continue;
       }
     }
     stage_metrics_->RecordPop(stolen);
-    batch.push_back(std::move(*entry));
+    out.entries.push_back(std::move(*entry));
+    holding_slot = false;
+    slot_parked = false;
   }
-  if (breaker_skips > 0) {
-    stage_metrics_->RecordBreakerSkips(breaker_skips);
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    stats_.breaker_skips += breaker_skips;
+  if (holding_slot && !slot_parked) budget_used_.fetch_sub(1);
+  out.parked_slot = holding_slot && slot_parked;
+  if (out.breaker_skips > 0) {
+    stage_metrics_->RecordBreakerSkips(out.breaker_skips);
   }
-  return batch;
+  return out;
 }
 
 Status Crawler::RecordBatch(std::vector<FetchedPage>* pages,
@@ -645,6 +641,8 @@ Status Crawler::RecordBatch(std::vector<FetchedPage>* pages,
   stage_metrics_->AddLockWaitMicros(
       static_cast<uint64_t>(lock_wait.ElapsedMicros()));
   Stopwatch expand_timer;
+  // Each page's budget slot becomes its visit: budget_used_ is unchanged.
+  stats_.attempts += pages->size();
   for (size_t i = 0; i < pages->size(); ++i) {
     FetchedPage& page = (*pages)[i];
     const PageJudgment& judgment = judgments[i];
@@ -677,15 +675,11 @@ Status Crawler::RecordBatch(std::vector<FetchedPage>* pages,
 
     if (options_.expand_backlinks &&
         judgment.relevance > options_.backlink_relevance_threshold) {
-      // Backlink metadata is a web service: web_mutex_ nests inside
-      // state_mutex_ here (never the other way around).
-      std::vector<std::string> citers;
-      {
-        std::lock_guard<std::mutex> web_lock(web_mutex_);
-        FOCUS_ASSIGN_OR_RETURN(
-            citers, web_->Backlinks(page.fetch.url,
-                                    options_.backlinks_per_page));
-      }
+      // Backlink metadata is a web service whose lazy index needs
+      // serializing: state_mutex_ does that.
+      FOCUS_ASSIGN_OR_RETURN(
+          std::vector<std::string> citers,
+          web_->Backlinks(page.fetch.url, options_.backlinks_per_page));
       for (const std::string& citer : citers) {
         uint64_t citer_oid = UrlOid(citer);
         if (options_.link_sink != nullptr &&
@@ -699,8 +693,8 @@ Status Crawler::RecordBatch(std::vector<FetchedPage>* pages,
                                db_->Lookup(citer_oid));
         if (known.has_value()) continue;
         FOCUS_RETURN_IF_ERROR(
-            db_->AddUrl(citer, judgment.relevance,
-                        server_fetches_[ServerIdOf(citer)]));
+            db_->AddUnknownUrl(citer, judgment.relevance,
+                               server_fetches_[ServerIdOf(citer)]));
         FrontierEntry entry;
         entry.oid = citer_oid;
         entry.url = citer;
@@ -716,7 +710,6 @@ Status Crawler::RecordBatch(std::vector<FetchedPage>* pages,
         }
       }
     }
-    in_flight_.fetch_sub(1);
   }
   Status boosts = RunPeriodicBoosts();
   Status flush = FlushBreakerState();
@@ -741,14 +734,25 @@ Status Crawler::PipelineWorker(int worker, VirtualClock* worker_clock) {
       // batches, like any other crash point.
       FOCUS_RETURN_IF_ERROR(options_.interrupt(worker_clock->NowMicros()));
     }
-    std::vector<FrontierEntry> batch = GatherBatch(worker, worker_clock);
+    GatheredBatch gathered = GatherBatch(worker, worker_clock);
+    if (gathered.breaker_skips > 0) {
+      std::lock_guard<std::mutex> lock(state_mutex_);
+      stats_.breaker_skips += gathered.breaker_skips;
+      if (gathered.parked_slot) budget_used_.fetch_sub(1);
+    }
+    std::vector<FrontierEntry>& batch = gathered.entries;
     if (batch.empty()) {
       std::unique_lock<std::mutex> lock(state_mutex_);
-      if (static_cast<int>(visits_.size()) >= options_.max_fetches) {
+      const int visits = static_cast<int>(visits_.size());
+      if (visits >= options_.max_fetches) {
         return Status::OK();  // budget spent
       }
-      if (in_flight_.load() == 0) {
-        if (frontier_.empty()) {
+      // The frontier is read before the budget counter: a page popped
+      // before this read holds a slot that is still counted below (see
+      // budget_used_).
+      const bool frontier_empty = frontier_.empty();
+      if (budget_used_.load() == visits) {
+        if (frontier_empty) {
           // Nothing left anywhere and nothing pending that could add
           // links: the crawl stagnated short of its budget.
           stats_.stagnated = true;
@@ -770,9 +774,9 @@ Status Crawler::PipelineWorker(int worker, VirtualClock* worker_clock) {
       continue;
     }
 
-    // --- fetch stage (web lock only; latency charged to this worker's
-    // virtual timeline, so concurrent workers overlap fetch waits exactly
-    // like the paper's ~30 fetch threads) ---
+    // --- fetch stage (no locks; latency charged to this worker's virtual
+    // timeline, so concurrent workers overlap fetch waits exactly like the
+    // paper's ~30 fetch threads) ---
     std::vector<FetchedPage> fetched;
     fetched.reserve(batch.size());
     struct FailedFetch {
@@ -794,15 +798,14 @@ Status Crawler::PipelineWorker(int worker, VirtualClock* worker_clock) {
                                      entry.relevance,
                                      /*aux=*/entry.numtries + 1);
         }
-        Result<webgraph::SimulatedWeb::FetchResult> result = [&] {
-          std::lock_guard<std::mutex> web_lock(web_mutex_);
-          // Attempts are numbered from durable state (numtries) so a
-          // crashed crawler's refetch of an attempt whose bookkeeping was
-          // lost replays the same outcome — the visited set becomes a
-          // deterministic fixpoint ResumeFromDb can converge to
-          // (tests/robustness_test.cc).
-          return web_->Fetch(entry.url, worker_clock, entry.numtries + 1);
-        }();
+        // Attempts are numbered from durable state (numtries) so a crashed
+        // crawler's refetch of an attempt whose bookkeeping was lost
+        // replays the same outcome — the visited set becomes a
+        // deterministic fixpoint ResumeFromDb can converge to
+        // (tests/robustness_test.cc). An explicit attempt also makes Fetch
+        // safe to call concurrently.
+        Result<webgraph::SimulatedWeb::FetchResult> result =
+            web_->Fetch(entry.url, worker_clock, entry.numtries + 1);
         if (!result.ok()) {
           if (options_.breaker.enabled) {
             NoteBreakerOutcome(
@@ -833,18 +836,21 @@ Status Crawler::PipelineWorker(int worker, VirtualClock* worker_clock) {
     stage_metrics_->AddFetchMicros(
         static_cast<uint64_t>(fetch_timer.ElapsedMicros()));
 
-    {
-      // Attempt/failure bookkeeping in one short critical section.
-      std::lock_guard<std::mutex> lock(state_mutex_);
-      stats_.attempts += batch.size();
-      for (const FailedFetch& failure : failures) {
-        FOCUS_RETURN_IF_ERROR(
-            HandleFetchFailure(failure.entry, failure.error, failure.at_us));
+    if (!failures.empty()) {
+      // Failure bookkeeping in one short critical section; successful
+      // pages are counted when RecordBatch records them.
+      {
+        std::lock_guard<std::mutex> lock(state_mutex_);
+        stats_.attempts += failures.size();
+        for (const FailedFetch& failure : failures) {
+          FOCUS_RETURN_IF_ERROR(HandleFetchFailure(
+              failure.entry, failure.error, failure.at_us));
+        }
+        FOCUS_RETURN_IF_ERROR(FlushBreakerState());
+        budget_used_.fetch_sub(static_cast<int>(failures.size()));
       }
-      FOCUS_RETURN_IF_ERROR(FlushBreakerState());
-      in_flight_.fetch_sub(static_cast<int>(failures.size()));
+      work_cv_.notify_all();
     }
-    if (!failures.empty()) work_cv_.notify_all();
     if (fetched.empty()) continue;
 
     // --- classify stage (no locks; one batched evaluator call) ---
@@ -865,7 +871,7 @@ Status Crawler::PipelineWorker(int worker, VirtualClock* worker_clock) {
     stage_metrics_->RecordBatch(fetched.size());
     stage_metrics_->ObserveClassifyBatchMicros(classify_micros);
     if (!judged.ok()) {
-      in_flight_.fetch_sub(static_cast<int>(fetched.size()));
+      budget_used_.fetch_sub(static_cast<int>(fetched.size()));
       work_cv_.notify_all();
       return judged.status();
     }
@@ -881,6 +887,7 @@ Status Crawler::RunPipeline() {
   // Workers continue the crawl's virtual timeline (nonzero after a resume
   // or an earlier Crawl() call) so absolute not-before times line up.
   const int64_t base_us = clock_.NowMicros();
+  budget_used_.store(static_cast<int>(visits_.size()));
   std::vector<VirtualClock> worker_clocks(options_.num_threads);
   for (VirtualClock& c : worker_clocks) c.AdvanceMicros(base_us);
   auto run_worker = [this, &status_mutex, &first_error,
@@ -891,8 +898,8 @@ Status Crawler::RunPipeline() {
         std::lock_guard<std::mutex> lock(status_mutex);
         if (first_error.ok()) first_error = std::move(s);
       }
-      // Stop peers: a failed worker may never release its in-flight
-      // reservations, so waiting on them would hang the pool.
+      // Stop peers: a failed worker may never release its budget slots,
+      // so waiting on them would hang the pool.
       abort_.store(true);
       work_cv_.notify_all();
     }

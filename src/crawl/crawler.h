@@ -238,11 +238,19 @@ class Crawler {
   // One worker's loop. `worker` indexes its preferred frontier shard;
   // `worker_clock` accumulates the worker's virtual fetch timeline.
   Status PipelineWorker(int worker, VirtualClock* worker_clock);
+  // One worker's pops for a fetch round.
+  struct GatheredBatch {
+    std::vector<FrontierEntry> entries;
+    // Pops re-parked because their server's breaker was open.
+    uint64_t breaker_skips = 0;
+    // A budget slot is still held for a re-parked entry; the caller
+    // releases it under state_mutex_.
+    bool parked_slot = false;
+  };
   // Pops up to classify_batch_size entries ready at the worker's virtual
-  // time and admitted by their server's breaker, reserving each against
-  // the fetch budget via in_flight_.
-  std::vector<FrontierEntry> GatherBatch(int worker,
-                                         VirtualClock* worker_clock);
+  // time and admitted by their server's breaker, reserving a budget slot
+  // for each in budget_used_. Takes no state_mutex_.
+  GatheredBatch GatherBatch(int worker, VirtualClock* worker_clock);
   // Classifies a failed fetch, charges its retry budget (persisting via
   // CrawlDb::RecordFailure) and either drops the entry or re-parks it with
   // backoff. Caller holds state_mutex_.
@@ -317,19 +325,27 @@ class Crawler {
   // Commits since the last periodic checkpoint (guarded by state_mutex_).
   int commits_since_checkpoint_ = 0;
 
-  // Fetches reserved against the budget but not yet recorded or failed.
-  std::atomic<int> in_flight_{0};
+  // Fetch budget: visits_.size() plus pages in flight (popped, not yet
+  // recorded or failed). Workers reserve a slot by compare-and-swap below
+  // max_fetches without any lock; a recorded page keeps its slot as its
+  // visit, a failed one releases it. In-flight pages are therefore
+  // budget_used_ - visits_.size(), read under state_mutex_. A slot whose
+  // page can still add frontier entries (recorded, failed and re-parked,
+  // or breaker re-parked) is converted or released only under
+  // state_mutex_; lock-free releases are for pops that came up dry and for
+  // an aborting crawl. So an idle worker that, holding the lock, reads the
+  // frontier empty and then no page in flight has seen the crawl stagnate.
+  std::atomic<int> budget_used_{0};
   // Set when a pipeline worker fails, so its peers stop instead of waiting
-  // on reservations that will never be released.
+  // on budget slots that will never be released.
   std::atomic<bool> abort_{false};
-  // Guards db_, visits_, stats_, server/backlink/link bookkeeping and the
-  // periodic-boost thresholds. The frontier (per-shard locks) and the web
-  // (web_mutex_) are guarded separately so fetch workers only contend here
-  // in the short record sections.
+  // Guards db_ (and the web's backlink service), visits_, stats_,
+  // server/backlink/link bookkeeping and the periodic-boost thresholds.
+  // The frontier has per-shard locks, fetches need no lock (explicit
+  // attempt ordinals) and budget slots are atomic, so fetch workers meet
+  // here in the record section, and briefly after failed fetches or
+  // breaker re-parks and when idle.
   std::mutex state_mutex_;
-  // Serializes SimulatedWeb access (fetch simulation mutates RNG and
-  // bookkeeping state).
-  std::mutex web_mutex_;
   // Signaled when budget or frontier state changes; idle workers wait.
   std::condition_variable work_cv_;
 };

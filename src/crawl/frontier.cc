@@ -271,16 +271,6 @@ bool ShardedFrontier::Contains(uint64_t oid) const {
   return false;
 }
 
-std::optional<FrontierEntry> ShardedFrontier::PeekCopy(uint64_t oid) const {
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    if (const FrontierEntry* e = shard->frontier.Peek(oid); e != nullptr) {
-      return *e;
-    }
-  }
-  return std::nullopt;
-}
-
 std::vector<FrontierEntry> ShardedFrontier::Snapshot() const {
   std::vector<FrontierEntry> out;
   for (const auto& shard : shards_) {

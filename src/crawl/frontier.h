@@ -194,9 +194,25 @@ class ShardedFrontier {
 
   void Erase(uint64_t oid);
   bool Contains(uint64_t oid) const;
-  // A copy of the live entry for `oid` (frontier entries move under
-  // concurrent pops, so no pointer-returning Peek here).
-  std::optional<FrontierEntry> PeekCopy(uint64_t oid) const;
+  // Applies `update(FrontierEntry*)` to the live entry for `oid` and
+  // re-ranks it, under the entry's shard lock. Returns false, inserting
+  // nothing, when `oid` is not in the frontier. Entries move under
+  // concurrent pops, so a read followed by a separate AddOrUpdate could
+  // re-insert an entry another worker popped in between, and the page
+  // would be fetched twice.
+  template <typename Update>
+  bool UpdateIfPresent(uint64_t oid, Update&& update) {
+    for (auto& shard : shards_) {
+      std::lock_guard<std::mutex> lock(shard->mu);
+      if (const FrontierEntry* e = shard->frontier.Peek(oid); e != nullptr) {
+        FrontierEntry updated = *e;
+        update(&updated);
+        shard->frontier.AddOrUpdate(updated);
+        return true;
+      }
+    }
+    return false;
+  }
 
   // Copies of every live entry across all shards.
   std::vector<FrontierEntry> Snapshot() const;

@@ -122,7 +122,9 @@ bool TrySortIntKeys(const ColumnSet& rows, const std::vector<SortKey>& keys,
                                    static_cast<uint64_t>(IntAt(*r.col, i))
                              : static_cast<uint64_t>(IntAt(*r.col, i)) -
                                    static_cast<uint64_t>(r.min);
-        word = (word << r.bits) | field;
+        // A 64-bit key is the only key (total_bits <= 64), so word is
+        // still 0; shifting by 64 would be undefined.
+        word = r.bits == 64 ? field : (word << r.bits) | field;
       }
       packed[i] = word;
     }

@@ -131,14 +131,14 @@ BPlusTree BPlusTree::Attach(BufferPool* pool, PageId root, int height,
   return tree;
 }
 
-Result<PageId> BPlusTree::FindLeaf(uint64_t key, uint64_t value,
-                                   std::vector<Descent>* path) const {
+Result<PageGuard> BPlusTree::FindLeaf(uint64_t key, uint64_t value,
+                                      std::vector<Descent>* path) const {
   PageId current = root_;
   for (;;) {
     PageGuard guard(pool_, current);
     if (!guard.ok()) return guard.status();
     const Page& page = *guard.page();
-    if (IsLeaf(page)) return current;
+    if (IsLeaf(page)) return guard;
     uint16_t child_index = RouteChild(page, key, value);
     if (path != nullptr) path->push_back({current, child_index});
     current = InternalChild(page, child_index);
@@ -147,40 +147,32 @@ Result<PageId> BPlusTree::FindLeaf(uint64_t key, uint64_t value,
 
 Status BPlusTree::Insert(uint64_t key, uint64_t value) {
   std::vector<Descent> path;
-  FOCUS_ASSIGN_OR_RETURN(PageId leaf_id, FindLeaf(key, value, &path));
-  {
-    PageGuard guard(pool_, leaf_id);
-    if (!guard.ok()) return guard.status();
-    Page* page = guard.page();
-    uint16_t count = Count(*page);
-    if (count < kLeafCapacity) {
-      uint16_t pos = LeafLowerBound(*page, key, value);
-      std::memmove(page->data + kEntriesStart + kLeafStride * (pos + 1),
-                   page->data + kEntriesStart + kLeafStride * pos,
-                   kLeafStride * (count - pos));
-      SetLeafEntry(page, pos, {key, value});
-      SetCount(page, count + 1);
-      guard.MarkDirty();
-      ++num_entries_;
-      return Status::OK();
-    }
+  FOCUS_ASSIGN_OR_RETURN(PageGuard leaf, FindLeaf(key, value, &path));
+  Page* page = leaf.page();
+  uint16_t count = Count(*page);
+  if (count >= kLeafCapacity) {
+    // Leaf is full: split, then insert into whichever half owns the key.
+    FOCUS_RETURN_IF_ERROR(SplitLeaf(&leaf, &path));
+    return Insert(key, value);
   }
-  // Leaf is full: split, then insert into whichever half owns the key.
-  FOCUS_RETURN_IF_ERROR(SplitLeaf(leaf_id, &path));
-  return Insert(key, value);
+  uint16_t pos = LeafLowerBound(*page, key, value);
+  std::memmove(page->data + kEntriesStart + kLeafStride * (pos + 1),
+               page->data + kEntriesStart + kLeafStride * pos,
+               kLeafStride * (count - pos));
+  SetLeafEntry(page, pos, {key, value});
+  SetCount(page, count + 1);
+  leaf.MarkDirty();
+  ++num_entries_;
+  return Status::OK();
 }
 
-Status BPlusTree::SplitLeaf(PageId leaf_id, std::vector<Descent>* path) {
+Status BPlusTree::SplitLeaf(PageGuard* left_guard,
+                            std::vector<Descent>* path) {
   PageId right_id;
   FOCUS_ASSIGN_OR_RETURN(Page * right, pool_->NewPage(&right_id));
   InitLeaf(right);
 
-  PageGuard left_guard(pool_, leaf_id);
-  if (!left_guard.ok()) {
-    pool_->UnpinPage(right_id, true);
-    return left_guard.status();
-  }
-  Page* left = left_guard.page();
+  Page* left = left_guard->page();
   uint16_t count = Count(*left);
   uint16_t mid = count / 2;
   uint16_t moved = count - mid;
@@ -194,8 +186,8 @@ Status BPlusTree::SplitLeaf(PageId leaf_id, std::vector<Descent>* path) {
   left->Write<uint32_t>(kOffNextOrChild0, right_id);
   SetCount(left, mid);
   Entry sep = LeafEntry(*right, 0);
-  left_guard.MarkDirty();
-  left_guard.Release();
+  left_guard->MarkDirty();
+  left_guard->Release();
   pool_->UnpinPage(right_id, /*dirty=*/true);
   return InsertIntoParent(path, sep.key, sep.val, right_id);
 }
@@ -281,10 +273,8 @@ Status BPlusTree::InsertIntoParent(std::vector<Descent>* path,
 }
 
 Status BPlusTree::Remove(uint64_t key, uint64_t value) {
-  FOCUS_ASSIGN_OR_RETURN(PageId leaf_id, FindLeaf(key, value, nullptr));
-  PageGuard guard(pool_, leaf_id);
-  if (!guard.ok()) return guard.status();
-  Page* page = guard.page();
+  FOCUS_ASSIGN_OR_RETURN(PageGuard leaf, FindLeaf(key, value, nullptr));
+  Page* page = leaf.page();
   uint16_t count = Count(*page);
   uint16_t pos = LeafLowerBound(*page, key, value);
   if (pos >= count) {
@@ -298,28 +288,38 @@ Status BPlusTree::Remove(uint64_t key, uint64_t value) {
                page->data + kEntriesStart + kLeafStride * (pos + 1),
                kLeafStride * (count - pos - 1));
   SetCount(page, count - 1);
-  guard.MarkDirty();
+  leaf.MarkDirty();
   --num_entries_;
   return Status::OK();
 }
 
 Status BPlusTree::GetAll(uint64_t key, std::vector<uint64_t>* out) const {
-  FOCUS_ASSIGN_OR_RETURN(Iterator it, Seek(key));
-  uint64_t k, v;
-  while (it.Next(&k, &v)) {
-    if (k != key) break;
-    out->push_back(v);
+  // Scans the leaf FindLeaf left pinned, so a key whose entries end inside
+  // that leaf costs exactly one pin per tree level.
+  FOCUS_ASSIGN_OR_RETURN(PageGuard leaf, FindLeaf(key, 0, nullptr));
+  uint16_t pos = LeafLowerBound(*leaf.page(), key, 0);
+  for (;;) {
+    const Page& page = *leaf.page();
+    for (uint16_t count = Count(page); pos < count; ++pos) {
+      Entry e = LeafEntry(page, pos);
+      if (e.key != key) return Status::OK();
+      out->push_back(e.val);
+    }
+    // Duplicates may continue in the successor leaf.
+    PageId next = page.Read<uint32_t>(kOffNextOrChild0);
+    if (next == kInvalidPageId) return Status::OK();
+    pool_->MaybePrefetchChain(next);
+    leaf = PageGuard(pool_, next);
+    if (!leaf.ok()) return leaf.status();
+    pos = 0;
   }
-  return it.status();
 }
 
 Result<BPlusTree::Iterator> BPlusTree::SeekPair(uint64_t key,
                                                 uint64_t value) const {
-  FOCUS_ASSIGN_OR_RETURN(PageId leaf_id, FindLeaf(key, value, nullptr));
-  PageGuard guard(pool_, leaf_id);
-  if (!guard.ok()) return guard.status();
-  uint16_t pos = LeafLowerBound(*guard.page(), key, value);
-  return Iterator(this, leaf_id, pos);
+  FOCUS_ASSIGN_OR_RETURN(PageGuard leaf, FindLeaf(key, value, nullptr));
+  uint16_t pos = LeafLowerBound(*leaf.page(), key, value);
+  return Iterator(this, leaf.id(), pos);
 }
 
 bool BPlusTree::Iterator::Next(uint64_t* key, uint64_t* value) {

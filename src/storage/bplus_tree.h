@@ -85,11 +85,14 @@ class BPlusTree {
   };
 
   // Walks from the root to the leaf that should contain (key, value),
-  // recording internal nodes on `path` (may be null).
-  Result<PageId> FindLeaf(uint64_t key, uint64_t value,
-                          std::vector<Descent>* path) const;
+  // recording internal nodes on `path` (may be null), and returns that
+  // leaf still pinned, so an operation that stays in that leaf pins each
+  // level exactly once.
+  Result<PageGuard> FindLeaf(uint64_t key, uint64_t value,
+                             std::vector<Descent>* path) const;
 
-  Status SplitLeaf(PageId leaf_id, std::vector<Descent>* path);
+  // Splits the full leaf the caller pinned in `left_guard` (released here).
+  Status SplitLeaf(PageGuard* left_guard, std::vector<Descent>* path);
   Status InsertIntoParent(std::vector<Descent>* path, uint64_t sep_key,
                           uint64_t sep_value, PageId right_child);
 

@@ -332,7 +332,8 @@ Result<SimulatedWeb::FetchResult> SimulatedWeb::Fetch(std::string_view url,
   u -= faults.timeout_prob;
   bool truncated = u < faults.truncate_prob;
   if (clock != nullptr) clock->AdvanceSeconds(latency_ms * 1e-3);
-  ++fetch_count_;
+  std::atomic_ref<uint64_t>(fetch_count_)
+      .fetch_add(1, std::memory_order_relaxed);
   FetchResult result;
   result.url = page.url;
   result.server_id = page.server_id;

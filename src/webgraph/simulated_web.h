@@ -7,6 +7,7 @@
 #ifndef FOCUS_WEBGRAPH_SIMULATED_WEB_H_
 #define FOCUS_WEBGRAPH_SIMULATED_WEB_H_
 
+#include <atomic>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -29,6 +30,13 @@ struct PageInfo {
   std::vector<uint32_t> outlinks;  // page indices
 };
 
+// Thread safety: after Generate, `Fetch` with an explicit `attempt` > 0 and
+// every const member may run concurrently from any number of threads: they
+// read only immutable state and the caller's clock, and the fetch counter
+// is atomic. Two members mutate shared state and need external
+// serialization: `Backlinks` (builds its reverse index lazily) against
+// other `Backlinks` calls, and `Fetch` with `attempt` <= 0 (advances a
+// per-page attempt counter) against other such fetches.
 class SimulatedWeb {
  public:
   struct FetchResult {
@@ -113,7 +121,11 @@ class SimulatedWeb {
   std::vector<std::string> TopicKeywords(taxonomy::Cid leaf,
                                          int count = 3) const;
 
-  uint64_t fetch_count() const { return fetch_count_; }
+  // Successful fetches so far.
+  uint64_t fetch_count() const {
+    return std::atomic_ref<uint64_t>(const_cast<uint64_t&>(fetch_count_))
+        .load(std::memory_order_relaxed);
+  }
 
  private:
   SimulatedWeb(const taxonomy::Taxonomy* tax, WebConfig config)
@@ -131,7 +143,10 @@ class SimulatedWeb {
   std::unordered_map<std::string, uint32_t> url_index_;
   std::unordered_map<taxonomy::Cid, std::vector<uint32_t>> topic_pages_;
   std::vector<ZipfTable> zipfs_;  // [0]=topic vocab, [1]=parent, [2]=shared
-  uint64_t fetch_count_ = 0;
+  // Bumped through std::atomic_ref (concurrent fetches), kept a plain
+  // integer so SimulatedWeb stays movable.
+  alignas(std::atomic_ref<uint64_t>::required_alignment) uint64_t
+      fetch_count_ = 0;
   std::unordered_map<uint32_t, int> attempt_counts_;  // per-page fetch tries
   // Lazily built reverse adjacency for Backlinks().
   std::unordered_map<uint32_t, std::vector<uint32_t>> inlinks_;

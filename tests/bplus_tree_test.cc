@@ -208,5 +208,73 @@ TEST_F(BPlusTreeTest, LargeSequentialBuild) {
   }
 }
 
+// Pin accounting: an operation on a tree of height h pins each level once.
+class BPlusTreePinTest : public BPlusTreeTest {
+ protected:
+  // Builds a tree of height >= 3 over the even keys 0, 2, 4, ... (value =
+  // key / 2), leaving odd keys free for later inserts.
+  BPlusTree MakeTallTree() {
+    BPlusTree tree = MakeTree();
+    for (uint64_t i = 0; tree.height() < 3; ++i) {
+      EXPECT_TRUE(tree.Insert(2 * i, i).ok());
+    }
+    return tree;
+  }
+
+  uint64_t Fetches() const { return pool_.stats().fetches; }
+};
+
+TEST_F(BPlusTreePinTest, GetAllOfSingleEntryPinsEachLevelOnce) {
+  BPlusTree tree = MakeTallTree();
+  ASSERT_GE(tree.height(), 3);
+  // Key 0 is the first entry of the leftmost leaf; key 2 follows it there.
+  std::vector<uint64_t> vals;
+  uint64_t before = Fetches();
+  ASSERT_TRUE(tree.GetAll(0, &vals).ok());
+  EXPECT_EQ(Fetches() - before, static_cast<uint64_t>(tree.height()));
+  EXPECT_EQ(vals, (std::vector<uint64_t>{0}));
+}
+
+TEST_F(BPlusTreePinTest, InsertWithoutSplitPinsEachLevelOnce) {
+  BPlusTree tree = MakeTallTree();
+  ASSERT_GE(tree.height(), 3);
+  const int height = tree.height();
+  // Removing first leaves room in the target leaf, so the insert cannot
+  // split.
+  uint64_t before = Fetches();
+  ASSERT_TRUE(tree.Remove(0, 0).ok());
+  EXPECT_EQ(Fetches() - before, static_cast<uint64_t>(height));
+  before = Fetches();
+  ASSERT_TRUE(tree.Insert(0, 7).ok());
+  EXPECT_EQ(Fetches() - before, static_cast<uint64_t>(height));
+  EXPECT_EQ(tree.height(), height);
+  ASSERT_TRUE(tree.CheckInvariants().ok());
+  std::vector<uint64_t> vals;
+  ASSERT_TRUE(tree.GetAll(0, &vals).ok());
+  EXPECT_EQ(vals, (std::vector<uint64_t>{7}));
+}
+
+TEST_F(BPlusTreePinTest, GetAllFollowsDuplicatesAcrossLeaves) {
+  BPlusTree tree = MakeTallTree();
+  // More duplicates than one leaf holds, so they must span leaves.
+  const uint64_t key = 1001;  // odd: not among the tree's keys
+  const uint64_t dups = 400;
+  std::vector<uint64_t> expected;
+  for (uint64_t v = 0; v < dups; ++v) {
+    ASSERT_TRUE(tree.Insert(key, dups - v).ok());
+    expected.push_back(v + 1);
+  }
+  ASSERT_TRUE(tree.CheckInvariants().ok());
+  std::vector<uint64_t> vals;
+  uint64_t before = Fetches();
+  ASSERT_TRUE(tree.GetAll(key, &vals).ok());
+  EXPECT_GT(Fetches() - before, static_cast<uint64_t>(tree.height()));
+  EXPECT_EQ(vals, expected);
+  // The neighbours are untouched.
+  vals.clear();
+  ASSERT_TRUE(tree.GetAll(key + 1, &vals).ok());
+  EXPECT_EQ(vals, (std::vector<uint64_t>{(key + 1) / 2}));
+}
+
 }  // namespace
 }  // namespace focus::storage

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -131,13 +132,15 @@ TEST(ShardedFrontierTest, LookupEraseAndSnapshotSpanShards) {
   }
   EXPECT_EQ(frontier.size(), 20u);
   EXPECT_TRUE(frontier.Contains(105));
-  auto copy = frontier.PeekCopy(105);
-  ASSERT_TRUE(copy.has_value());
-  EXPECT_EQ(copy->url, "http://host5/p");
+  std::string seen_url;
+  EXPECT_TRUE(frontier.UpdateIfPresent(
+      105, [&](FrontierEntry* e) { seen_url = e->url; }));
+  EXPECT_EQ(seen_url, "http://host5/p");
 
   frontier.Erase(105);
   EXPECT_FALSE(frontier.Contains(105));
-  EXPECT_FALSE(frontier.PeekCopy(105).has_value());
+  // An absent entry (e.g. popped by another worker) is not re-inserted.
+  EXPECT_FALSE(frontier.UpdateIfPresent(105, [](FrontierEntry*) {}));
 
   std::vector<FrontierEntry> all = frontier.Snapshot();
   EXPECT_EQ(all.size(), 19u);
@@ -145,6 +148,14 @@ TEST(ShardedFrontierTest, LookupEraseAndSnapshotSpanShards) {
   for (const FrontierEntry& e : all) oids.insert(e.oid);
   EXPECT_EQ(oids.size(), 19u);
   EXPECT_FALSE(oids.contains(105));
+
+  // An update re-ranks: the raised entry is its shard's best.
+  EXPECT_TRUE(frontier.UpdateIfPresent(
+      106, [](FrontierEntry* e) { e->relevance = 0.99; }));
+  std::optional<FrontierEntry> best =
+      frontier.PopPreferShard(frontier.ShardOf("http://host6/p"));
+  ASSERT_TRUE(best.has_value());
+  EXPECT_EQ(best->oid, 106u);
 }
 
 FocusOptions TinyOptions(uint64_t seed) {
@@ -159,11 +170,21 @@ FocusOptions TinyOptions(uint64_t seed) {
   return options;
 }
 
+// `hostile_web` turns on the fault model: transient, timeout and permanent
+// failures, truncated transfers, flaky, slow and dead servers.
 std::unique_ptr<FocusSystem> TrainedSystem(uint64_t seed,
-                                           double failure_prob = 0.0) {
+                                           bool hostile_web = false) {
   Taxonomy tax = BuildSampleTaxonomy();
   FocusOptions options = TinyOptions(seed);
-  options.web.fetch_failure_prob = failure_prob;
+  if (hostile_web) {
+    options.web.fetch_failure_prob = 0.05;
+    options.web.faults.permanent_prob = 0.03;
+    options.web.faults.timeout_prob = 0.03;
+    options.web.faults.truncate_prob = 0.05;
+    options.web.faults.flaky_server_fraction = 0.15;
+    options.web.faults.slow_server_fraction = 0.1;
+    options.web.faults.dead_server_fraction = 0.1;  // trips breakers
+  }
   auto system = FocusSystem::Create(std::move(tax), options);
   EXPECT_TRUE(system.ok()) << system.status();
   auto sys = system.TakeValue();
@@ -332,6 +353,73 @@ TEST(CrawlPipelineTest, EightThreadsVisitSamePagesAsOneThread) {
   EXPECT_NE(report.find("classify"), std::string::npos);
   EXPECT_NE(report.find("occupancy"), std::string::npos);
   EXPECT_NE(report.find("steal_rate"), std::string::npos);
+}
+
+// Eight workers on a hostile web with breakers and backlink expansion on:
+// lock-free fetches and budget reservations must still spend the budget
+// exactly and reach the same closure as one worker.
+CrawlerOptions HostileCrawlOptions(int num_threads, int max_fetches) {
+  CrawlerOptions copts;
+  copts.max_fetches = max_fetches;
+  copts.num_threads = num_threads;
+  copts.distill_every = 0;
+  copts.expand_backlinks = true;
+  copts.breaker.enabled = true;
+  return copts;
+}
+
+TEST(CrawlPipelineTest, HostileEightThreadCrawlSpendsExactBudget) {
+  auto system = TrainedSystem(41, /*hostile_web=*/true);
+  Cid cycling = system->tax().FindByName("cycling").value();
+  auto session =
+      system
+          ->NewCrawl(system->web().KeywordSeeds(cycling, 8),
+                     HostileCrawlOptions(/*num_threads=*/8,
+                                         /*max_fetches=*/150))
+          .TakeValue();
+  ASSERT_TRUE(session->crawler().Crawl().ok());
+  const crawl::CrawlStats& stats = session->crawler().stats();
+  EXPECT_FALSE(stats.stagnated);
+  ASSERT_EQ(session->crawler().visits().size(), 150u);
+  std::unordered_set<std::string> urls;
+  for (const crawl::Visit& v : session->crawler().visits()) {
+    EXPECT_TRUE(urls.insert(v.url).second) << "double visit: " << v.url;
+  }
+  EXPECT_GT(stats.transient_failures + stats.dropped_urls, 0u);
+  EXPECT_EQ(stats.attempts,
+            150u + stats.transient_failures + stats.dropped_urls);
+}
+
+TEST(CrawlPipelineTest, HostileCrawlVisitsSamePagesAtOneAndEightThreads) {
+  auto crawl_to_exhaustion = [](int num_threads) {
+    auto system = TrainedSystem(42, /*hostile_web=*/true);
+    Cid cycling = system->tax().FindByName("cycling").value();
+    auto session =
+        system
+            ->NewCrawl(system->web().KeywordSeeds(cycling, 8),
+                       HostileCrawlOptions(num_threads,
+                                           /*max_fetches=*/5000))
+            .TakeValue();
+    EXPECT_TRUE(session->crawler().Crawl().ok());
+    EXPECT_TRUE(session->crawler().stats().stagnated);
+    EXPECT_GT(session->crawler().stats().dropped_urls, 0u);
+    EXPECT_GT(session->crawler().stats().breaker_skips, 0u);
+    std::unordered_map<uint64_t, double> visited;
+    for (const crawl::Visit& v : session->crawler().visits()) {
+      EXPECT_TRUE(visited.emplace(v.oid, v.relevance).second)
+          << "double visit: " << v.url;
+    }
+    return visited;
+  };
+  const std::unordered_map<uint64_t, double> solo = crawl_to_exhaustion(1);
+  const std::unordered_map<uint64_t, double> pooled = crawl_to_exhaustion(8);
+  ASSERT_GT(solo.size(), 100u);
+  ASSERT_EQ(solo.size(), pooled.size());
+  for (const auto& [oid, relevance] : solo) {
+    auto it = pooled.find(oid);
+    ASSERT_NE(it, pooled.end()) << "oid " << oid << " missing from pooled";
+    EXPECT_DOUBLE_EQ(relevance, it->second) << "oid " << oid;
+  }
 }
 
 TEST(CrawlPipelineTest, BatchSizeOneStillCompletes) {

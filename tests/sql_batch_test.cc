@@ -4,6 +4,8 @@
 // runs of the Figure 3 (BulkProbe) and Figure 4 (JoinDistiller) plans.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -164,6 +166,35 @@ TEST(BatchOperatorTest, SortMatchesScalarIncludingStability) {
     auto batch =
         std::make_unique<BatchSort>(BatchOf(schema, rows, bs), keys, bs);
     EXPECT_EQ(RowStrings(std::move(batch)), expected) << "batch_rows=" << bs;
+  }
+}
+
+TEST(BatchOperatorTest, SortsInt64KeySpanningFullRange) {
+  // One int64 key whose values span INT64_MIN..INT64_MAX needs all 64 bits
+  // of the packed sort word.
+  Schema schema({{"k", TypeId::kInt64}, {"i", TypeId::kInt32}});
+  const std::vector<int64_t> keys_in = {
+      0, std::numeric_limits<int64_t>::max(), -1,
+      std::numeric_limits<int64_t>::min(), 42, -42,
+      std::numeric_limits<int64_t>::min() + 1, 1};
+  std::vector<Tuple> rows;
+  for (size_t i = 0; i < keys_in.size(); ++i) {
+    rows.push_back(Tuple({Value::Int64(keys_in[i]),
+                          Value::Int32(static_cast<int32_t>(i))}));
+  }
+  for (bool desc : {false, true}) {
+    std::vector<int64_t> expected = keys_in;
+    std::sort(expected.begin(), expected.end());
+    if (desc) std::reverse(expected.begin(), expected.end());
+    std::vector<SortKey> keys{{0, desc}};
+    auto sorter = std::make_unique<BatchSort>(BatchOf(schema, rows, 64),
+                                              keys, 64);
+    Devectorize scalar(std::move(sorter));
+    auto out = Collect(&scalar);
+    ASSERT_TRUE(out.ok()) << out.status();
+    std::vector<int64_t> got;
+    for (const Tuple& t : out.value()) got.push_back(t.Get(0).AsInt64());
+    EXPECT_EQ(got, expected) << "descending=" << desc;
   }
 }
 

@@ -4,8 +4,13 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "taxonomy/taxonomy.h"
+#include "util/clock.h"
+#include "util/status.h"
 #include "webgraph/simulated_web.h"
 
 namespace focus::webgraph {
@@ -108,6 +113,72 @@ TEST(WebFetchTest, FetchCountTracksSuccesses) {
   EXPECT_EQ(web.fetch_count(), 10u);
   EXPECT_FALSE(web.Fetch("http://not.a.page/").ok());
   EXPECT_EQ(web.fetch_count(), 10u);
+}
+
+TEST(WebFetchTest, ConcurrentExplicitAttemptFetchesMatchSerial) {
+  // Fetch with an explicit attempt reads only immutable state and the
+  // caller's clock, so disjoint URLs fetched from several threads give
+  // exactly the serial outcomes.
+  Taxonomy tax = TwoTopicTax();
+  WebConfig config;
+  config.seed = 17;
+  config.pages_per_topic = 100;
+  config.background_pages = 600;
+  config.background_servers = 20;
+  config.fetch_failure_prob = 0.1;
+  config.faults.truncate_prob = 0.1;
+  config.faults.timeout_prob = 0.05;
+  config.faults.slow_server_fraction = 0.2;
+  auto web = SimulatedWeb::Generate(tax, config, {}).TakeValue();
+
+  struct Outcome {
+    StatusCode code = StatusCode::kOk;
+    int64_t latency_us = 0;
+    std::vector<std::string> tokens;
+    std::vector<std::string> outlinks;
+    bool truncated = false;
+    bool operator==(const Outcome&) const = default;
+  };
+  const uint32_t n = static_cast<uint32_t>(web.num_pages());
+  auto fetch = [&web](uint32_t i) {
+    VirtualClock clock;
+    auto r = web.Fetch(web.page(i).url, &clock,
+                       /*attempt=*/1 + static_cast<int32_t>(i % 3));
+    Outcome o;
+    o.code = r.status().code();
+    o.latency_us = clock.NowMicros();
+    if (r.ok()) {
+      o.tokens = r.value().tokens;
+      o.outlinks = r.value().outlink_urls;
+      o.truncated = r.value().truncated;
+    }
+    return o;
+  };
+
+  std::vector<Outcome> expected(n);
+  uint64_t successes = 0;
+  for (uint32_t i = 0; i < n; ++i) {
+    expected[i] = fetch(i);
+    if (expected[i].code == StatusCode::kOk) ++successes;
+  }
+  ASSERT_GT(successes, 0u);
+  ASSERT_LT(successes, n);  // the fault model produced some failures
+  const uint64_t serial_count = web.fetch_count();
+  EXPECT_EQ(serial_count, successes);
+
+  constexpr uint32_t kThreads = 4;
+  std::vector<Outcome> got(n);
+  std::vector<std::thread> threads;
+  for (uint32_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (uint32_t i = t; i < n; i += kThreads) got[i] = fetch(i);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (uint32_t i = 0; i < n; ++i) {
+    EXPECT_EQ(got[i], expected[i]) << "page " << i;
+  }
+  EXPECT_EQ(web.fetch_count(), serial_count + successes);
 }
 
 TEST(WebTextTest, PurityJitterVariesDocumentsButStaysDeterministic) {
