@@ -79,7 +79,7 @@ namespace {
 struct Flags {
   int budget = 2000;
   bool tiny = false;
-  int shards = 1;
+  int shards = 0;  // 0 = the thread sweep, not the supervisor
   std::vector<std::pair<int, double>> kills;  // (shard, virtual seconds)
   double fail_prob = 0;
   int timeout_ms = 2000;
@@ -234,7 +234,7 @@ int Run(const Flags& flags) {
   auto cycling = system->tax().FindByName("cycling").value();
   auto seeds = system->web().KeywordSeeds(cycling, 12);
 
-  if (flags.shards > 1) {
+  if (flags.shards > 0) {
     // Multi-shard supervisor instead of the thread sweep: hash-partition
     // the URL space, run to the distributed fixpoint (recovering any
     // scheduled shard deaths), and report the recovery counters.

@@ -196,32 +196,36 @@ Status CrawlDb::AppendOutbox(int32_t dst_shard, uint64_t src_oid,
   return Status::OK();
 }
 
-Result<std::vector<ExchangeLink>> CrawlDb::ReadOutboxAfter(
-    int32_t dst_shard, int64_t after_seq) const {
+Result<std::vector<std::vector<ExchangeLink>>> CrawlDb::ReadOutbox(
+    const std::vector<int64_t>& after_seq) const {
   if (outbox_ == nullptr) {
     return Status::InvalidArgument("exchange tables not enabled");
   }
-  std::vector<ExchangeLink> out;
+  std::vector<std::vector<ExchangeLink>> out(after_seq.size());
   auto it = outbox_->Scan();
   storage::Rid rid;
   Tuple row;
   while (it.Next(&rid, &row)) {
-    if (row.Get(1).AsInt32() != dst_shard) continue;
-    if (row.Get(0).AsInt64() <= after_seq) continue;
+    int32_t dst = row.Get(1).AsInt32();
+    if (dst < 0 || static_cast<size_t>(dst) >= after_seq.size()) continue;
+    int64_t seq = row.Get(0).AsInt64();
+    if (seq <= after_seq[static_cast<size_t>(dst)]) continue;
     ExchangeLink msg;
-    msg.seq = row.Get(0).AsInt64();
-    msg.dst_shard = dst_shard;
+    msg.seq = seq;
+    msg.dst_shard = dst;
     msg.src_oid = static_cast<uint64_t>(row.Get(2).AsInt64());
     msg.dst_url = row.Get(3).AsString();
     msg.relevance = row.Get(4).AsDouble();
     msg.raise_if_known = row.Get(5).AsInt32() != 0;
-    out.push_back(std::move(msg));
+    out[static_cast<size_t>(dst)].push_back(std::move(msg));
   }
   FOCUS_RETURN_IF_ERROR(it.status());
-  std::sort(out.begin(), out.end(),
-            [](const ExchangeLink& a, const ExchangeLink& b) {
-              return a.seq < b.seq;
-            });
+  for (std::vector<ExchangeLink>& bucket : out) {
+    std::sort(bucket.begin(), bucket.end(),
+              [](const ExchangeLink& a, const ExchangeLink& b) {
+                return a.seq < b.seq;
+              });
+  }
   return out;
 }
 

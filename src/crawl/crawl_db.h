@@ -162,9 +162,11 @@ class CrawlDb {
                       std::string_view dst_url, double relevance,
                       bool raise_if_known);
 
-  // All OUTBOX messages for `dst_shard` with seq > after_seq, ascending.
-  Result<std::vector<ExchangeLink>> ReadOutboxAfter(int32_t dst_shard,
-                                                    int64_t after_seq) const;
+  // Reads OUTBOX in one scan, bucketed by destination: element d holds
+  // the messages for shard d with seq > after_seq[d], ascending by seq
+  // (after_seq.size() buckets; messages for any other shard are skipped).
+  Result<std::vector<std::vector<ExchangeLink>>> ReadOutbox(
+      const std::vector<int64_t>& after_seq) const;
 
   // Highest seq from `src_shard` this shard has durably applied (0 =
   // nothing yet).

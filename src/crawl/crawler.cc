@@ -675,8 +675,6 @@ Status Crawler::RecordBatch(std::vector<FetchedPage>* pages,
 
     if (options_.expand_backlinks &&
         judgment.relevance > options_.backlink_relevance_threshold) {
-      // Backlink metadata is a web service whose lazy index needs
-      // serializing: state_mutex_ does that.
       FOCUS_ASSIGN_OR_RETURN(
           std::vector<std::string> citers,
           web_->Backlinks(page.fetch.url, options_.backlinks_per_page));
@@ -857,8 +855,10 @@ Status Crawler::PipelineWorker(int worker, VirtualClock* worker_clock) {
     std::vector<text::TermVector> docs;
     docs.reserve(fetched.size());
     for (FetchedPage& page : fetched) {
-      page.terms = text::BuildTermVector(page.fetch.tokens);
-      docs.push_back(page.terms);
+      docs.push_back(text::BuildTermVector(page.fetch.tokens));
+      // Record/expand reads only the URL and outlinks: drop the page text
+      // now rather than holding it through classification.
+      std::vector<std::string>().swap(page.fetch.tokens);
     }
     Stopwatch classify_timer;
     auto judged = [&] {

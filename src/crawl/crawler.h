@@ -228,7 +228,6 @@ class Crawler {
     FrontierEntry entry;
     webgraph::SimulatedWeb::FetchResult fetch;
     int64_t fetched_at_us = 0;  // the fetching worker's virtual time
-    text::TermVector terms;
   };
 
   // The crawl loop at every thread count (one worker per thread): sharded
@@ -339,8 +338,8 @@ class Crawler {
   // Set when a pipeline worker fails, so its peers stop instead of waiting
   // on budget slots that will never be released.
   std::atomic<bool> abort_{false};
-  // Guards db_ (and the web's backlink service), visits_, stats_,
-  // server/backlink/link bookkeeping and the periodic-boost thresholds.
+  // Guards db_, visits_, stats_, server/backlink/link bookkeeping and the
+  // periodic-boost thresholds.
   // The frontier has per-shard locks, fetches need no lock (explicit
   // attempt ordinals) and budget slots are atomic, so fetch workers meet
   // here in the record section, and briefly after failed fetches or

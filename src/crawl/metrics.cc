@@ -14,14 +14,14 @@ StageMetrics::StageMetrics(obs::MetricsRegistry* registry) {
     return r->GetCounter("focus_crawl_stage_micros_total",
                          {{"stage", name}});
   };
-  fetch_micros_ = stage("fetch");
-  classify_micros_ = stage("classify");
-  expand_micros_ = stage("expand");
-  lock_wait_micros_ = stage("lock_wait");
-  batches_ = r->GetCounter("focus_crawl_classify_batches_total");
-  batched_pages_ = r->GetCounter("focus_crawl_classify_pages_total");
-  frontier_pops_ = r->GetCounter("focus_crawl_frontier_pops_total");
-  frontier_steals_ = r->GetCounter("focus_crawl_frontier_steals_total");
+  fetch_micros_.Bind(stage("fetch"));
+  classify_micros_.Bind(stage("classify"));
+  expand_micros_.Bind(stage("expand"));
+  lock_wait_micros_.Bind(stage("lock_wait"));
+  batches_.Bind(r->GetCounter("focus_crawl_classify_batches_total"));
+  batched_pages_.Bind(r->GetCounter("focus_crawl_classify_pages_total"));
+  frontier_pops_.Bind(r->GetCounter("focus_crawl_frontier_pops_total"));
+  frontier_steals_.Bind(r->GetCounter("focus_crawl_frontier_steals_total"));
   frontier_depth_ = r->GetGauge("focus_crawl_frontier_depth");
   distill_iterations_ = r->GetCounter("focus_distill_iterations_total");
   distill_residual_ = r->GetGauge("focus_distill_last_residual");
@@ -29,20 +29,21 @@ StageMetrics::StageMetrics(obs::MetricsRegistry* registry) {
   batch_micros_hist_ = r->GetHistogram("focus_crawl_classify_batch_micros");
   for (int c = 0; c < 4; ++c) {
     const char* cls = FailureClassName(static_cast<FailureClass>(c));
-    fetch_failures_[c] = r->GetCounter("focus_crawl_fetch_failures_total",
-                                       {{"class", cls}});
-    retries_[c] = r->GetCounter("focus_crawl_retries_total", {{"class", cls}});
+    fetch_failures_[c].Bind(
+        r->GetCounter("focus_crawl_fetch_failures_total", {{"class", cls}}));
+    retries_[c].Bind(
+        r->GetCounter("focus_crawl_retries_total", {{"class", cls}}));
   }
-  dropped_permanent_ = r->GetCounter("focus_crawl_dropped_urls_total",
-                                     {{"reason", "permanent"}});
-  dropped_exhausted_ = r->GetCounter("focus_crawl_dropped_urls_total",
-                                     {{"reason", "budget_exhausted"}});
+  dropped_permanent_.Bind(r->GetCounter("focus_crawl_dropped_urls_total",
+                                        {{"reason", "permanent"}}));
+  dropped_exhausted_.Bind(r->GetCounter("focus_crawl_dropped_urls_total",
+                                        {{"reason", "budget_exhausted"}}));
   for (int s = 0; s < 3; ++s) {
-    breaker_transitions_[s] =
-        r->GetCounter("focus_crawl_breaker_transitions_total",
-                      {{"to", BreakerStateName(static_cast<BreakerState>(s))}});
+    breaker_transitions_[s].Bind(r->GetCounter(
+        "focus_crawl_breaker_transitions_total",
+        {{"to", BreakerStateName(static_cast<BreakerState>(s))}}));
   }
-  breaker_skips_ = r->GetCounter("focus_crawl_breaker_skips_total");
+  breaker_skips_.Bind(r->GetCounter("focus_crawl_breaker_skips_total"));
   open_breakers_ = r->GetGauge("focus_crawl_open_breakers");
   backoff_ms_hist_ = r->GetHistogram("focus_crawl_backoff_delay_ms");
   harvest_rate_ = r->GetGauge("focus_crawl_harvest_rate");
@@ -58,7 +59,6 @@ StageMetrics::StageMetrics(obs::MetricsRegistry* registry) {
              "Failures rescheduled with backoff, by fault class.");
   r->SetHelp("focus_crawl_breaker_transitions_total",
              "Circuit-breaker state transitions by target state.");
-  Reset();
 }
 
 void StageMetrics::RecordVisitRelevance(double r) {
@@ -76,22 +76,22 @@ void StageMetrics::RecordVisitRelevance(double r) {
 
 StageMetricsSnapshot StageMetrics::Raw() const {
   StageMetricsSnapshot s;
-  s.fetch_micros = fetch_micros_->Value();
-  s.classify_micros = classify_micros_->Value();
-  s.expand_micros = expand_micros_->Value();
-  s.lock_wait_micros = lock_wait_micros_->Value();
-  s.batches = batches_->Value();
-  s.batched_pages = batched_pages_->Value();
-  s.frontier_pops = frontier_pops_->Value();
-  s.frontier_steals = frontier_steals_->Value();
+  s.fetch_micros = fetch_micros_.Value();
+  s.classify_micros = classify_micros_.Value();
+  s.expand_micros = expand_micros_.Value();
+  s.lock_wait_micros = lock_wait_micros_.Value();
+  s.batches = batches_.Value();
+  s.batched_pages = batched_pages_.Value();
+  s.frontier_pops = frontier_pops_.Value();
+  s.frontier_steals = frontier_steals_.Value();
   for (int c = 0; c < 4; ++c) {
-    s.fetch_failures += fetch_failures_[c]->Value();
-    s.retries += retries_[c]->Value();
+    s.fetch_failures += fetch_failures_[c].Value();
+    s.retries += retries_[c].Value();
   }
-  s.dropped_urls = dropped_permanent_->Value() + dropped_exhausted_->Value();
-  s.breaker_skips = breaker_skips_->Value();
+  s.dropped_urls = dropped_permanent_.Value() + dropped_exhausted_.Value();
+  s.breaker_skips = breaker_skips_.Value();
   s.breaker_opens =
-      breaker_transitions_[static_cast<int>(BreakerState::kOpen)]->Value();
+      breaker_transitions_[static_cast<int>(BreakerState::kOpen)].Value();
   return s;
 }
 

@@ -49,21 +49,22 @@ struct StageMetricsSnapshot {
 // serialize on the crawl-state lock (or on each other) to record time.
 //
 // Registry counters are process-cumulative across crawlers sharing a
-// registry; each StageMetrics captures a baseline at construction (and on
-// Reset()) and Snapshot() reports deltas since then, preserving the
-// per-crawler view the monitor/bench code expects.
+// registry (the shards of a DistCrawl crawl concurrently on one registry),
+// so every count is also kept in this crawler's own tally: Snapshot()
+// reports only this crawler's work, as deltas since construction or the
+// last Reset().
 class StageMetrics {
  public:
   // nullptr registry means the process-global registry.
   explicit StageMetrics(obs::MetricsRegistry* registry = nullptr);
 
-  void AddFetchMicros(uint64_t us) { fetch_micros_->Add(us); }
-  void AddClassifyMicros(uint64_t us) { classify_micros_->Add(us); }
-  void AddExpandMicros(uint64_t us) { expand_micros_->Add(us); }
-  void AddLockWaitMicros(uint64_t us) { lock_wait_micros_->Add(us); }
+  void AddFetchMicros(uint64_t us) { fetch_micros_.Add(us); }
+  void AddClassifyMicros(uint64_t us) { classify_micros_.Add(us); }
+  void AddExpandMicros(uint64_t us) { expand_micros_.Add(us); }
+  void AddLockWaitMicros(uint64_t us) { lock_wait_micros_.Add(us); }
   void RecordBatch(uint64_t pages) {
-    batches_->Inc();
-    batched_pages_->Add(pages);
+    batches_.Add(1);
+    batched_pages_.Add(pages);
     batch_pages_hist_->Observe(pages);
   }
   // Latency of one classifier batch (also kept as a histogram so snapshots
@@ -72,25 +73,25 @@ class StageMetrics {
     batch_micros_hist_->Observe(us);
   }
   void RecordPop(bool stolen) {
-    frontier_pops_->Inc();
-    if (stolen) frontier_steals_->Inc();
+    frontier_pops_.Add(1);
+    if (stolen) frontier_steals_.Add(1);
   }
   void RecordFetchFailure(FailureClass cls) {
-    fetch_failures_[static_cast<int>(cls)]->Inc();
+    fetch_failures_[static_cast<int>(cls)].Add(1);
   }
   // A failure rescheduled with `backoff_s` seconds of (virtual) delay.
   void RecordRetry(FailureClass cls, double backoff_s) {
-    retries_[static_cast<int>(cls)]->Inc();
+    retries_[static_cast<int>(cls)].Add(1);
     backoff_ms_hist_->Observe(backoff_s * 1e3);
   }
   void RecordDrop(bool permanent) {
-    (permanent ? dropped_permanent_ : dropped_exhausted_)->Inc();
+    (permanent ? dropped_permanent_ : dropped_exhausted_).Add(1);
   }
   void RecordBreakerTransition(BreakerState to) {
-    breaker_transitions_[static_cast<int>(to)]->Inc();
+    breaker_transitions_[static_cast<int>(to)].Add(1);
   }
   void RecordBreakerSkips(uint64_t n) {
-    if (n > 0) breaker_skips_->Add(n);
+    if (n > 0) breaker_skips_.Add(n);
   }
   // Servers currently quarantined (open or half-open breakers).
   void SetOpenBreakers(double n) { open_breakers_->Set(n); }
@@ -115,28 +116,44 @@ class StageMetrics {
   void Reset();
 
  private:
+  // One snapshot count: added both to the shared registry counter and to
+  // this crawler's own tally, which Snapshot() reads.
+  class Tally {
+   public:
+    void Bind(obs::Counter* shared) { shared_ = shared; }
+    void Add(uint64_t n) {
+      shared_->Add(n);
+      own_.Add(n);
+    }
+    uint64_t Value() const { return own_.Value(); }
+
+   private:
+    obs::Counter* shared_ = nullptr;
+    obs::Counter own_;
+  };
+
   StageMetricsSnapshot Raw() const;
 
-  obs::Counter* fetch_micros_;
-  obs::Counter* classify_micros_;
-  obs::Counter* expand_micros_;
-  obs::Counter* lock_wait_micros_;
-  obs::Counter* batches_;
-  obs::Counter* batched_pages_;
-  obs::Counter* frontier_pops_;
-  obs::Counter* frontier_steals_;
+  Tally fetch_micros_;
+  Tally classify_micros_;
+  Tally expand_micros_;
+  Tally lock_wait_micros_;
+  Tally batches_;
+  Tally batched_pages_;
+  Tally frontier_pops_;
+  Tally frontier_steals_;
   obs::Gauge* frontier_depth_;
   obs::Counter* distill_iterations_;
   obs::Gauge* distill_residual_;
   obs::Histogram* batch_pages_hist_;
   obs::Histogram* batch_micros_hist_;
   // Fault-model counters, indexed by FailureClass / BreakerState.
-  obs::Counter* fetch_failures_[4];
-  obs::Counter* retries_[4];
-  obs::Counter* dropped_permanent_;
-  obs::Counter* dropped_exhausted_;
-  obs::Counter* breaker_transitions_[3];
-  obs::Counter* breaker_skips_;
+  Tally fetch_failures_[4];
+  Tally retries_[4];
+  Tally dropped_permanent_;
+  Tally dropped_exhausted_;
+  Tally breaker_transitions_[3];
+  Tally breaker_skips_;
   obs::Gauge* open_breakers_;
   obs::Histogram* backoff_ms_hist_;
   // Sliding window behind the harvest-rate gauge.

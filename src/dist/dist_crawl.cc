@@ -1,6 +1,7 @@
 #include "dist/dist_crawl.h"
 
 #include <algorithm>
+#include <thread>
 #include <tuple>
 
 #include "distill/distiller.h"
@@ -23,7 +24,13 @@ DistCrawl::DistCrawl(webgraph::SimulatedWeb* web,
       evaluator_(evaluator),
       options_(std::move(options)),
       router_(options_.num_shards),
-      exchange_(options_.num_shards) {}
+      exchange_(options_.num_shards),
+      queue_depth_(static_cast<size_t>(options_.num_shards), 0) {
+  int threads = std::min<int>(
+      options_.num_shards,
+      std::max(1, static_cast<int>(std::thread::hardware_concurrency())));
+  if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
+}
 
 DistCrawl::~DistCrawl() = default;
 
@@ -149,43 +156,90 @@ Status DistCrawl::AddSeed(std::string_view url) {
   return sh.db->Commit();
 }
 
-Status DistCrawl::RunToFixpoint() {
+void DistCrawl::ForEachShard(const std::function<void(int)>& fn) {
   int n = num_shards();
+  if (pool_ == nullptr) {
+    for (int s = 0; s < n; ++s) fn(s);
+    return;
+  }
+  for (int s = 0; s < n; ++s) {
+    pool_->Submit([&fn, s] { fn(s); });
+  }
+  pool_->Wait();
+}
+
+Status DistCrawl::HandleDeath(int s, const Status& status, bool* progress) {
+  if (status.ok()) return Status::OK();
+  if (!IsShardDeath(status)) return status;
+  *progress = true;
+  return RestartShard(s, status);
+}
+
+Status DistCrawl::CrawlPhase(bool* progress) {
+  const size_t n = static_cast<size_t>(num_shards());
+  std::vector<uint64_t> before(n);
+  for (size_t s = 0; s < n; ++s) {
+    before[s] = shards_[s]->crawler->stats().attempts;
+  }
+  std::vector<Status> status(n);
+  ForEachShard([this, &status](int s) {
+    status[static_cast<size_t>(s)] =
+        shards_[static_cast<size_t>(s)]->crawler->Crawl();
+  });
+  for (size_t s = 0; s < n; ++s) {
+    FOCUS_RETURN_IF_ERROR(
+        HandleDeath(static_cast<int>(s), status[s], progress));
+    if (status[s].ok() && shards_[s]->crawler->stats().attempts != before[s]) {
+      *progress = true;
+    }
+  }
+  return Status::OK();
+}
+
+Status DistCrawl::DeliveryPhase(bool* progress) {
+  const size_t n = static_cast<size_t>(num_shards());
+  std::vector<crawl::CrawlDb*> dbs(n);
+  for (size_t s = 0; s < n; ++s) dbs[s] = shards_[s]->db.get();
+  LinkExchange::ReadResult read = exchange_.Read(dbs);
+  std::vector<LinkExchange::ApplyResult> applied(n);
+  ForEachShard([this, &read, &applied](int dst) {
+    size_t d = static_cast<size_t>(dst);
+    if (!read.status[d].ok()) return;
+    Shard& sh = *shards_[d];
+    applied[d] = LinkExchange::Apply(read.inboxes[d], sh.db.get(),
+                                     sh.crawler.get(), sh.log.get());
+  });
+  for (size_t dst = 0; dst < n; ++dst) {
+    exchange_.AddApplied(applied[dst]);
+    if (applied[dst].delivered > 0) *progress = true;
+  }
+  // Messages read but not applied (their destination failed) stay queued;
+  // a source whose OUTBOX could not be read keeps its last depth.
+  for (size_t src = 0; src < n; ++src) {
+    if (!read.status[src].ok()) continue;
+    int64_t depth = 0;
+    for (size_t dst = 0; dst < n; ++dst) {
+      depth += static_cast<int64_t>(read.inboxes[dst][src].size());
+      if (!applied[dst].delivered_from.empty()) {
+        depth -= static_cast<int64_t>(applied[dst].delivered_from[src]);
+      }
+    }
+    queue_depth_[src] = depth;
+  }
+  for (size_t s = 0; s < n; ++s) {
+    const Status& failure =
+        read.status[s].ok() ? applied[s].status : read.status[s];
+    FOCUS_RETURN_IF_ERROR(
+        HandleDeath(static_cast<int>(s), failure, progress));
+  }
+  return Status::OK();
+}
+
+Status DistCrawl::RunToFixpoint() {
   for (int round = 0; round < options_.max_rounds; ++round) {
     bool progress = false;
-    for (int s = 0; s < n; ++s) {
-      Shard& sh = *shards_[static_cast<size_t>(s)];
-      uint64_t before = sh.crawler->stats().attempts;
-      Status st = sh.crawler->Crawl();
-      if (!st.ok()) {
-        if (!IsShardDeath(st)) return st;
-        FOCUS_RETURN_IF_ERROR(RestartShard(s, st));
-        progress = true;
-        continue;
-      }
-      if (sh.crawler->stats().attempts != before) progress = true;
-    }
-    for (int src = 0; src < n; ++src) {
-      for (int dst = 0; dst < n; ++dst) {
-        if (src == dst) continue;
-        LinkExchange::DrainResult r = exchange_.Drain(
-            shards_[static_cast<size_t>(src)]->db.get(), src,
-            shards_[static_cast<size_t>(dst)]->db.get(),
-            shards_[static_cast<size_t>(dst)]->crawler.get(), dst,
-            shards_[static_cast<size_t>(dst)]->log.get());
-        if (!r.status.ok()) {
-          if (!IsShardDeath(r.status)) return r.status;
-          int dead =
-              r.failed == LinkExchange::DrainResult::FailedSide::kSource
-                  ? src
-                  : dst;
-          FOCUS_RETURN_IF_ERROR(RestartShard(dead, r.status));
-          progress = true;
-          continue;
-        }
-        if (r.delivered > 0) progress = true;
-      }
-    }
+    FOCUS_RETURN_IF_ERROR(CrawlPhase(&progress));
+    FOCUS_RETURN_IF_ERROR(DeliveryPhase(&progress));
     PublishMetrics();
     // A full round with no attempts, no deliveries and no restarts means
     // every frontier is dry and every watermark equals its outbox tail.
@@ -313,20 +367,19 @@ Result<GlobalDistillResult> DistCrawl::GlobalDistill(
 
 Result<std::vector<WatermarkAudit>> DistCrawl::AuditExchange() const {
   std::vector<WatermarkAudit> out;
-  int n = num_shards();
-  for (int src = 0; src < n; ++src) {
-    for (int dst = 0; dst < n; ++dst) {
+  const size_t n = static_cast<size_t>(num_shards());
+  for (size_t src = 0; src < n; ++src) {
+    FOCUS_ASSIGN_OR_RETURN(
+        auto by_dst,
+        shards_[src]->db->ReadOutbox(std::vector<int64_t>(n, 0)));
+    for (size_t dst = 0; dst < n; ++dst) {
       if (src == dst) continue;
       WatermarkAudit a;
-      a.src_shard = src;
-      a.dst_shard = dst;
+      a.src_shard = static_cast<int>(src);
+      a.dst_shard = static_cast<int>(dst);
       FOCUS_ASSIGN_OR_RETURN(
-          auto msgs,
-          shards_[static_cast<size_t>(src)]->db->ReadOutboxAfter(dst, 0));
-      FOCUS_ASSIGN_OR_RETURN(
-          a.watermark,
-          shards_[static_cast<size_t>(dst)]->db->ExchangeWatermark(src));
-      for (const crawl::ExchangeLink& msg : msgs) {
+          a.watermark, shards_[dst]->db->ExchangeWatermark(a.src_shard));
+      for (const crawl::ExchangeLink& msg : by_dst[dst]) {
         a.outbox_high = std::max(a.outbox_high, msg.seq);
         if (msg.seq > a.watermark) ++a.pending;
       }
@@ -353,24 +406,12 @@ void DistCrawl::PublishMetrics() {
                "Committed exchange delivery batches");
 
   int n = num_shards();
-  std::vector<int64_t> depth(static_cast<size_t>(n), 0);
-  // Best-effort: the audit scans shard tables, which is safe here (the
-  // supervisor publishes between rounds, never mid-crawl) but can fail on
-  // a currently-poisoned device — the depth gauges then keep their last
-  // published value.
-  if (auto audit = AuditExchange(); audit.ok()) {
-    for (const WatermarkAudit& a : *audit) {
-      depth[static_cast<size_t>(a.src_shard)] += a.pending;
-    }
-    for (int s = 0; s < n; ++s) {
-      reg->GetGauge("focus_shard_exchange_queue_depth",
-                    {{"shard", std::to_string(s)}})
-          ->Set(static_cast<double>(depth[static_cast<size_t>(s)]));
-    }
-  }
   for (int s = 0; s < n; ++s) {
     const Shard& sh = *shards_[static_cast<size_t>(s)];
     obs::Labels labels{{"shard", std::to_string(s)}};
+    // From the last delivery phase's read, not a fresh audit scan.
+    reg->GetGauge("focus_shard_exchange_queue_depth", labels)
+        ->Set(static_cast<double>(queue_depth_[static_cast<size_t>(s)]));
     reg->GetGauge("focus_shard_frontier_depth", labels)
         ->Set(static_cast<double>(sh.crawler->frontier()->size()));
     reg->GetGauge("focus_shard_restarts", labels)

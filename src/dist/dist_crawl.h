@@ -6,7 +6,9 @@
 // breaker state, provenance event log — over its own pair of storage
 // devices. A ShardRouter hash-partitions servers across shards; link
 // discoveries that cross a shard boundary flow through the crash-safe
-// LinkExchange (see link_exchange.h).
+// LinkExchange (see link_exchange.h). The shards run side by side: each
+// supervisor round crawls every shard on its own thread, then delivers
+// every destination's inbound links on its own thread (RunToFixpoint).
 //
 // The supervisor treats shard death as a first-class event: a shard whose
 // storage starts failing (CrashFaultDiskManager poisoning) or whose
@@ -24,6 +26,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -42,6 +45,7 @@
 #include "storage/disk_manager.h"
 #include "storage/wal.h"
 #include "util/status.h"
+#include "util/thread_pool.h"
 #include "webgraph/simulated_web.h"
 
 namespace focus::dist {
@@ -58,15 +62,18 @@ bool IsShardDeath(const Status& status);
 // Scheduled shard deaths at virtual crawl times. The crawler polls its
 // shard's schedule at every batch boundary (CrawlerOptions::interrupt);
 // each kill fires exactly once, so the supervisor's restart survives.
+// Shards crawl concurrently, so every member locks.
 class ShardFaultPlan {
  public:
   void KillAt(int shard, int64_t virtual_us) {
+    std::lock_guard<std::mutex> lock(mu_);
     kills_.push_back(Kill{shard, virtual_us, false});
   }
 
   // IOError(kShardDeathMessage) the first time `shard`'s clock reaches a
   // scheduled kill; OK otherwise.
   Status Check(int shard, int64_t now_us) {
+    std::lock_guard<std::mutex> lock(mu_);
     for (Kill& k : kills_) {
       if (k.fired || k.shard != shard || now_us < k.at_us) continue;
       k.fired = true;
@@ -76,6 +83,7 @@ class ShardFaultPlan {
   }
 
   int fired() const {
+    std::lock_guard<std::mutex> lock(mu_);
     int n = 0;
     for (const Kill& k : kills_) n += k.fired ? 1 : 0;
     return n;
@@ -87,6 +95,7 @@ class ShardFaultPlan {
     int64_t at_us = 0;
     bool fired = false;
   };
+  mutable std::mutex mu_;
   std::vector<Kill> kills_;
 };
 
@@ -158,9 +167,10 @@ struct WatermarkAudit {
 
 class DistCrawl {
  public:
-  // `web` and `evaluator` are shared by all shards (both are borrowed and
-  // judged/fetched deterministically, so sharing is safe — shards crawl
-  // sequentially under the supervisor).
+  // `web` and `evaluator` are borrowed and shared by all shards, which
+  // call them concurrently: fetches with explicit attempt ordinals and
+  // Backlinks are thread-safe on SimulatedWeb, and the evaluator contract
+  // requires concurrent JudgeBatch.
   static Result<std::unique_ptr<DistCrawl>> Create(
       webgraph::SimulatedWeb* web, crawl::RelevanceEvaluator* evaluator,
       DistCrawlOptions options);
@@ -173,11 +183,22 @@ class DistCrawl {
   // must survive a shard death that precedes the first batch).
   Status AddSeed(std::string_view url);
 
-  // Supervisor loop: rounds of (crawl every live shard to stagnation,
-  // drain every exchange queue), restarting dead shards as deaths
-  // surface, until a round makes no progress — no fetch attempts, no
-  // deliveries, no restarts. At that point every frontier is dry and
-  // every exchange watermark has caught up with its outbox.
+  // Supervisor loop, until a round makes no progress — no fetch attempts,
+  // no deliveries, no restarts. At that point every frontier is dry and
+  // every exchange watermark has caught up with its outbox. A round has
+  // two phases, each a fork-join over the shards:
+  //   1. Crawl: every shard's Crawl() runs at once, each to its budget or
+  //      to stagnation. Shards share only the web, the evaluator and the
+  //      metrics registry; cross-shard links only go to OUTBOX.
+  //   2. Deliver: on the supervisor thread, LinkExchange::Read takes every
+  //      watermark and scans each OUTBOX once; then one LinkExchange::Apply
+  //      per destination runs at once, each committing one batch per
+  //      source in ascending source order.
+  // After each join, dead shards are restarted in shard order. Outboxes
+  // grow only in phase 1 and every destination applies its sources in the
+  // same order whatever the thread timing, so the visit sets, exchange
+  // order and commit boundaries are those of running the shards one after
+  // another.
   Status RunToFixpoint();
 
   int num_shards() const { return router_.num_shards(); }
@@ -233,6 +254,16 @@ class DistCrawl {
   // Tears down and reboots a dead shard, recording the death/restart
   // events and enforcing max_restarts.
   Status RestartShard(int s, const Status& death);
+  // Restarts shard `s` if `status` is a shard death; returns any other
+  // error. Sets *progress on a restart.
+  Status HandleDeath(int s, const Status& status, bool* progress);
+  // Runs fn(s) for every shard, concurrently on pool_ (in shard order on
+  // the calling thread without one), and returns when all have finished.
+  void ForEachShard(const std::function<void(int)>& fn);
+  // Round phase 1; *progress is set by any attempt or restart.
+  Status CrawlPhase(bool* progress);
+  // Round phase 2; *progress is set by any delivery or restart.
+  Status DeliveryPhase(bool* progress);
   // Publishes the focus_shard_* gauges for the current state.
   void PublishMetrics();
 
@@ -242,6 +273,12 @@ class DistCrawl {
   ShardRouter router_;
   LinkExchange exchange_;
   std::vector<std::unique_ptr<Shard>> shards_;
+  // One thread per shard, up to the core count; nullptr when that is one
+  // thread (a single shard crawls on the calling thread).
+  std::unique_ptr<ThreadPool> pool_;
+  // Outbox messages per source shard not yet applied by their owner, as
+  // of the last delivery phase (focus_shard_exchange_queue_depth).
+  std::vector<int64_t> queue_depth_;
   // Backing stores for the default provider (reused across boots).
   struct DefaultDevices {
     std::unique_ptr<storage::MemDiskManager> data;

@@ -1,64 +1,101 @@
 #include "dist/link_exchange.h"
 
 #include <algorithm>
+#include <limits>
 
 namespace focus::dist {
 
-LinkExchange::DrainResult LinkExchange::Drain(
-    crawl::CrawlDb* src_db, int src_shard, crawl::CrawlDb* dst_db,
-    crawl::Crawler* dst_crawler, int dst_shard, obs::EventLog* dst_log) {
-  DrainResult result;
-  auto fail = [&result](DrainResult::FailedSide side, Status status) {
-    result.failed = side;
-    result.status = std::move(status);
-    return result;
-  };
+LinkExchange::ReadResult LinkExchange::Read(
+    const std::vector<crawl::CrawlDb*>& dbs) {
+  const size_t n = static_cast<size_t>(num_shards_);
+  ReadResult out;
+  out.inboxes.resize(n);
+  out.status.resize(n);
+  // watermark[dst][src]: dst's durable applied seq for src.
+  std::vector<std::vector<int64_t>> watermark(n, std::vector<int64_t>(n, 0));
+  for (size_t dst = 0; dst < n; ++dst) {
+    out.inboxes[dst].resize(n);
+    for (size_t src = 0; src < n && out.status[dst].ok(); ++src) {
+      if (src == dst) continue;
+      Result<int64_t> w = dbs[dst]->ExchangeWatermark(static_cast<int>(src));
+      if (w.ok()) {
+        watermark[dst][src] = *w;
+      } else {
+        out.status[dst] = w.status();
+      }
+    }
+  }
+  constexpr int64_t kSkip = std::numeric_limits<int64_t>::max();
+  for (size_t src = 0; src < n; ++src) {
+    if (!out.status[src].ok()) continue;
+    // One scan serves every destination; a destination whose watermarks
+    // are unknown (or the source itself) gets nothing this round.
+    std::vector<int64_t> after(n, kSkip);
+    for (size_t dst = 0; dst < n; ++dst) {
+      if (dst != src && out.status[dst].ok()) after[dst] = watermark[dst][src];
+    }
+    Result<std::vector<std::vector<crawl::ExchangeLink>>> pending =
+        dbs[src]->ReadOutbox(after);
+    if (!pending.ok()) {
+      out.status[src] = pending.status();
+      continue;
+    }
+    for (size_t dst = 0; dst < n; ++dst) {
+      std::vector<crawl::ExchangeLink>& msgs = (*pending)[dst];
+      if (msgs.empty()) continue;
+      int64_t& high = read_high_[src * n + dst];
+      // Replays are counted against the read mark, not the durable
+      // watermark: a message this process already *read* but whose
+      // delivery batch died before its commit comes back here with the
+      // watermark unchanged — the redelivery the protocol promises.
+      for (const crawl::ExchangeLink& msg : msgs) {
+        if (msg.seq <= high) ++stats_.replayed;
+      }
+      high = std::max(high, msgs.back().seq);
+      out.inboxes[dst][src] = std::move(msgs);
+    }
+  }
+  return out;
+}
 
-  Result<int64_t> watermark = dst_db->ExchangeWatermark(src_shard);
-  if (!watermark.ok()) {
-    return fail(DrainResult::FailedSide::kDest, watermark.status());
-  }
-  Result<std::vector<crawl::ExchangeLink>> pending =
-      src_db->ReadOutboxAfter(dst_shard, *watermark);
-  if (!pending.ok()) {
-    return fail(DrainResult::FailedSide::kSource, pending.status());
-  }
-  if (pending->empty()) return result;
-
-  int64_t& high =
-      read_high_[static_cast<size_t>(src_shard) * num_shards_ + dst_shard];
-  // Replays are counted against the read mark, not the durable watermark:
-  // a message this process already *read* but whose delivery batch died
-  // before its commit comes back here with the watermark unchanged — the
-  // redelivery the protocol promises.
-  for (const crawl::ExchangeLink& msg : *pending) {
-    if (msg.seq <= high) ++stats_.replayed;
-  }
-  int64_t last = pending->back().seq;
-  high = std::max(high, last);
-  for (const crawl::ExchangeLink& msg : *pending) {
-    Status s = dst_crawler->AdmitRemoteLink(
-        msg.dst_url, msg.relevance, static_cast<int64_t>(msg.src_oid),
-        msg.raise_if_known);
-    if (!s.ok()) return fail(DrainResult::FailedSide::kDest, std::move(s));
-  }
-  // Watermark and admissions become durable in the same batch — the
-  // exactly-once edge of the protocol.
-  Status s = dst_db->SetExchangeWatermark(src_shard, last);
-  if (!s.ok()) return fail(DrainResult::FailedSide::kDest, std::move(s));
-  s = dst_db->Commit();
-  if (!s.ok()) return fail(DrainResult::FailedSide::kDest, std::move(s));
-
-  result.delivered = pending->size();
-  stats_.delivered += result.delivered;
-  ++stats_.batches;
-  if (dst_log != nullptr) {
-    dst_log->Record(obs::CrawlEventType::kExchangeBatch, /*oid=*/-1,
-                    /*parent_oid=*/src_shard, /*sid=*/-1, /*virtual_us=*/-1,
-                    /*value=*/static_cast<double>(last),
-                    /*aux=*/static_cast<int64_t>(result.delivered));
+LinkExchange::ApplyResult LinkExchange::Apply(const Inbox& inbox,
+                                              crawl::CrawlDb* db,
+                                              crawl::Crawler* crawler,
+                                              obs::EventLog* log) {
+  ApplyResult result;
+  result.delivered_from.assign(inbox.size(), 0);
+  for (size_t src = 0; src < inbox.size(); ++src) {
+    const std::vector<crawl::ExchangeLink>& msgs = inbox[src];
+    if (msgs.empty()) continue;
+    for (const crawl::ExchangeLink& msg : msgs) {
+      result.status = crawler->AdmitRemoteLink(
+          msg.dst_url, msg.relevance, static_cast<int64_t>(msg.src_oid),
+          msg.raise_if_known);
+      if (!result.status.ok()) return result;
+    }
+    // Watermark and admissions become durable in the same batch — the
+    // exactly-once edge of the protocol.
+    int64_t last = msgs.back().seq;
+    result.status = db->SetExchangeWatermark(static_cast<int>(src), last);
+    if (!result.status.ok()) return result;
+    result.status = db->Commit();
+    if (!result.status.ok()) return result;
+    result.delivered_from[src] = msgs.size();
+    result.delivered += msgs.size();
+    ++result.batches;
+    if (log != nullptr) {
+      log->Record(obs::CrawlEventType::kExchangeBatch, /*oid=*/-1,
+                  /*parent_oid=*/static_cast<int64_t>(src), /*sid=*/-1,
+                  /*virtual_us=*/-1, /*value=*/static_cast<double>(last),
+                  /*aux=*/static_cast<int64_t>(msgs.size()));
+    }
   }
   return result;
+}
+
+void LinkExchange::AddApplied(const ApplyResult& applied) {
+  stats_.delivered += applied.delivered;
+  stats_.batches += applied.batches;
 }
 
 }  // namespace focus::dist

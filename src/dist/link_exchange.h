@@ -6,15 +6,20 @@
 // crawler's ordinary batch commit, so the admission is durable exactly
 // when the LINK row that motivated it is.
 //
-// Delivery side: LinkExchange::Drain reads one (src, dst) queue above
-// dst's durable watermark (XWMARK row for src), applies each message via
-// Crawler::AdmitRemoteLink, then commits the admissions *and* the raised
-// watermark as one dst batch. Crash anywhere in that window reverts dst
-// to the previous watermark and the messages redeliver; admissions are
-// idempotent (AddUrl dedups by oid, raises are monotone max), so
-// redelivery converges instead of duplicating. Nothing is ever dropped:
-// OUTBOX rows are only ever filtered by a watermark that was committed
-// together with their application.
+// Delivery side, one supervisor round at a time. LinkExchange::Read reads
+// every destination's durable watermarks (XWMARK row per source) and
+// scans each source OUTBOX once, bucketing the messages above those
+// watermarks by destination. LinkExchange::Apply then delivers one
+// destination's inbox: for each source in ascending order it applies the
+// messages via Crawler::AdmitRemoteLink and commits the admissions *and*
+// the raised watermark as one dst batch. Apply touches only the
+// destination's store, so the supervisor runs one Apply per destination
+// concurrently. Crash anywhere in a batch reverts dst to the previous
+// watermark and the messages redeliver; admissions are idempotent (AddUrl
+// dedups by oid, raises are monotone max), so redelivery converges instead
+// of duplicating. Nothing is ever dropped: OUTBOX rows are only ever
+// filtered by a watermark that was committed together with their
+// application.
 #ifndef FOCUS_DIST_LINK_EXCHANGE_H_
 #define FOCUS_DIST_LINK_EXCHANGE_H_
 
@@ -63,25 +68,50 @@ struct ExchangeStats {
   uint64_t batches = 0;    // committed (src,dst) delivery batches
 };
 
+// One round's deliveries for one destination shard, indexed by source
+// shard: the messages that source journaled for it above its durable
+// watermark for that source, in seq order (empty for itself).
+using Inbox = std::vector<std::vector<crawl::ExchangeLink>>;
+
 class LinkExchange {
  public:
   explicit LinkExchange(int num_shards)
       : num_shards_(num_shards),
         read_high_(static_cast<size_t>(num_shards) * num_shards, 0) {}
 
-  struct DrainResult {
-    uint64_t delivered = 0;
-    // Which side's storage failed, so the supervisor knows whom to
-    // restart. kNone when status is OK.
-    enum class FailedSide { kNone, kSource, kDest } failed = FailedSide::kNone;
-    Status status;
+  struct ReadResult {
+    std::vector<Inbox> inboxes;  // indexed by destination shard
+    // Per shard: non-OK when its storage failed during the read. A shard
+    // whose watermarks could not be read gets an empty inbox; one whose
+    // OUTBOX could not be read contributes to no inbox.
+    std::vector<Status> status;
   };
 
-  // Delivers every pending src -> dst message (seq above dst's durable
-  // watermark), committing dst once at the end.
-  DrainResult Drain(crawl::CrawlDb* src_db, int src_shard,
-                    crawl::CrawlDb* dst_db, crawl::Crawler* dst_crawler,
-                    int dst_shard, obs::EventLog* dst_log);
+  // The read phase of a round: every destination's watermarks, then one
+  // OUTBOX scan per source (ascending). `dbs` holds every shard's CrawlDb.
+  // Counts replays against the per-pair read marks, so it is not
+  // thread-safe; it only reads the stores.
+  ReadResult Read(const std::vector<crawl::CrawlDb*>& dbs);
+
+  struct ApplyResult {
+    uint64_t delivered = 0;
+    uint64_t batches = 0;  // committed (src, dst) batches
+    // Messages applied per source shard.
+    std::vector<uint64_t> delivered_from;
+    Status status;  // the first failure; later sources were not applied
+  };
+
+  // The apply phase for one destination (`db`, `crawler`, `log` are its
+  // own): for each source in ascending order with pending messages, admits
+  // them, raises the watermark and commits once — one durable batch per
+  // (src, dst) pair. Touches only the destination's state, so Apply calls
+  // for distinct destinations may run concurrently. Stops at the first
+  // failure.
+  static ApplyResult Apply(const Inbox& inbox, crawl::CrawlDb* db,
+                           crawl::Crawler* crawler, obs::EventLog* log);
+
+  // Folds one destination's ApplyResult into the totals.
+  void AddApplied(const ApplyResult& applied);
 
   const ExchangeStats& stats() const { return stats_; }
 

@@ -123,8 +123,9 @@ Status Catalog::DropTable(std::string_view name) {
   if (it == tables_.end()) {
     return Status::NotFound(StrCat("table ", name));
   }
+  Status freed = it->second->FreePages();
   tables_.erase(it);
-  return Status::OK();
+  return freed;
 }
 
 std::vector<std::string> Catalog::TableNames() const {

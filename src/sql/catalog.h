@@ -44,6 +44,7 @@ class Catalog {
   // Returns the table or nullptr.
   Table* GetTable(std::string_view name) const;
 
+  // Removes the table and hands its pages back to the pool for reuse.
   Status DropTable(std::string_view name);
 
   storage::BufferPool* buffer_pool() const { return pool_; }

@@ -27,6 +27,17 @@ Status ExternalSort::SpillRun(std::vector<Tuple>* rows) {
   return Status::OK();
 }
 
+void ExternalSort::DropRuns() {
+  cursors_.clear();
+  std::vector<storage::PageId> pages;
+  for (const storage::HeapFile& run : runs_) {
+    pages.clear();
+    if (!run.CollectPages(&pages).ok()) continue;
+    for (storage::PageId id : pages) (void)pool_->FreePage(id);
+  }
+  runs_.clear();
+}
+
 Status ExternalSort::AdvanceRun(size_t idx) {
   RunCursor& cursor = cursors_[idx];
   storage::Rid rid;
@@ -44,8 +55,7 @@ Status ExternalSort::AdvanceRun(size_t idx) {
 
 Status ExternalSort::Open() {
   FOCUS_RETURN_IF_ERROR(child_->Open());
-  runs_.clear();
-  cursors_.clear();
+  DropRuns();
   tail_.clear();
   tail_pos_ = 0;
 
@@ -105,8 +115,7 @@ Result<bool> ExternalSort::Next(Tuple* out) {
 }
 
 void ExternalSort::Close() {
-  runs_.clear();
-  cursors_.clear();
+  DropRuns();
   tail_.clear();
   child_->Close();
 }

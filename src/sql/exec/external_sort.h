@@ -24,9 +24,8 @@ namespace focus::sql {
 
 class ExternalSort final : public Operator {
  public:
-  // `pool` hosts the spill runs; it must outlive the operator. The
-  // temporary pages are abandoned on Close (no free-space reuse — same
-  // policy as Table::Clear).
+  // `pool` hosts the spill runs; it must outlive the operator. The runs'
+  // pages go back to the pool's free list on Close (and on a re-Open).
   ExternalSort(OperatorPtr child, std::vector<SortKey> keys,
                storage::BufferPool* pool, size_t memory_budget_rows = 8192);
 
@@ -47,6 +46,9 @@ class ExternalSort final : public Operator {
   };
 
   Status SpillRun(std::vector<Tuple>* rows);
+  // Drops the spilled runs, handing their pages back to the pool
+  // (best-effort: a page that cannot be walked or freed stays allocated).
+  void DropRuns();
   // Loads the next tuple of run `idx` into its cursor.
   Status AdvanceRun(size_t idx);
 

@@ -214,7 +214,22 @@ Status Table::Get(const storage::Rid& rid, Tuple* out) const {
   return Status::OK();
 }
 
+Status Table::FreePages() {
+  std::vector<storage::PageId> dead;
+  FOCUS_RETURN_IF_ERROR(heap_->CollectPages(&dead));
+  for (const auto& index : indexes_) {
+    FOCUS_RETURN_IF_ERROR(index.tree.CollectPages(&dead));
+  }
+  for (storage::PageId id : dead) {
+    FOCUS_RETURN_IF_ERROR(pool_->FreePage(id));
+  }
+  return Status::OK();
+}
+
 Status Table::Clear() {
+  // Hand the old generation's pages back to the pool first, so the new
+  // heap and indexes are built from them rather than from fresh pages.
+  FOCUS_RETURN_IF_ERROR(FreePages());
   FOCUS_ASSIGN_OR_RETURN(storage::HeapFile heap,
                          storage::HeapFile::Create(pool_));
   heap_ = std::move(heap);

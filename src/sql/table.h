@@ -75,10 +75,15 @@ class Table {
   Status Delete(const storage::Rid& rid);
   Status Get(const storage::Rid& rid, Tuple* out) const;
 
-  // Drops every row (and index entry). Storage pages are abandoned, not
-  // reclaimed — there is no free-space map; callers that clear repeatedly
-  // (the distiller's "delete from HUBS") accept file growth.
+  // Drops every row (and index entry). The old heap and index pages go
+  // back to the buffer pool's free list (BufferPool::FreePage), so callers
+  // that clear and refill repeatedly (the distiller's "delete from HUBS")
+  // reuse the same pages instead of growing the file.
   Status Clear();
+
+  // Hands every heap and index page back to the buffer pool's free list,
+  // leaving the table unusable: for a table about to be dropped.
+  Status FreePages();
 
   // Equality lookup on index `index_idx`; appends matching RIDs to `out`.
   Status IndexLookup(int index_idx, const std::vector<Value>& key,

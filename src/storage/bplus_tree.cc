@@ -396,6 +396,23 @@ Status BPlusTree::CheckNode(PageId page_id, int depth, uint64_t lo_key,
   return Status::OK();
 }
 
+Status BPlusTree::CollectPages(std::vector<PageId>* out) const {
+  std::vector<PageId> stack{root_};
+  while (!stack.empty()) {
+    PageId id = stack.back();
+    stack.pop_back();
+    out->push_back(id);
+    PageGuard guard(pool_, id);
+    if (!guard.ok()) return guard.status();
+    const Page& page = *guard.page();
+    if (IsLeaf(page)) continue;
+    for (uint16_t i = 0; i <= Count(page); ++i) {
+      stack.push_back(InternalChild(page, i));
+    }
+  }
+  return Status::OK();
+}
+
 Status BPlusTree::CheckInvariants() const {
   int leaf_depth = -1;
   return CheckNode(root_, 0, 0, 0, false, 0, 0, false, &leaf_depth);

@@ -75,6 +75,10 @@ class BPlusTree {
   // Verifies ordering and structural invariants; used by tests.
   Status CheckInvariants() const;
 
+  // Appends the id of every node page to `out`, root first (for handing a
+  // dropped index's pages back to the pool).
+  Status CollectPages(std::vector<PageId>* out) const;
+
  private:
   explicit BPlusTree(BufferPool* pool) : pool_(pool) {}
 

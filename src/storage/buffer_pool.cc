@@ -298,12 +298,26 @@ Result<Page*> BufferPool::NewPage(PageId* out_id) {
   PageId id;
   {
     std::lock_guard<std::mutex> io(io_mutex_);
-    FOCUS_ASSIGN_OR_RETURN(id, disk_->AllocatePage());
+    if (!free_pages_.empty()) {
+      id = *free_pages_.begin();
+      free_pages_.erase(free_pages_.begin());
+    } else {
+      FOCUS_ASSIGN_OR_RETURN(id, disk_->AllocatePage());
+    }
   }
   Shard* shard = shards_[ShardOf(id)].get();
   std::unique_lock<std::shared_mutex> lock(shard->latch);
-  FOCUS_ASSIGN_OR_RETURN(size_t idx,
-                         GetVictimLocked(shard, /*allow_steal=*/true));
+  size_t idx;
+  if (auto it = shard->table.find(id); it != shard->table.end()) {
+    // A reused page that readahead pulled back in since it was freed: take
+    // over its frame (the stale bytes are zeroed below).
+    idx = it->second;
+    if (shard->frames[idx]->pin_count.load(std::memory_order_acquire) > 0) {
+      return Status::Internal(StrCat("reused page ", id, " is pinned"));
+    }
+  } else {
+    FOCUS_ASSIGN_OR_RETURN(idx, GetVictimLocked(shard, /*allow_steal=*/true));
+  }
   Frame& f = *shard->frames[idx];
   f.page.Zero();
   f.page_id = id;
@@ -319,6 +333,28 @@ Result<Page*> BufferPool::NewPage(PageId* out_id) {
 #endif
   *out_id = id;
   return &f.page;
+}
+
+Status BufferPool::FreePage(PageId id) {
+  {
+    Shard* shard = shards_[ShardOf(id)].get();
+    std::unique_lock<std::shared_mutex> lock(shard->latch);
+    if (auto it = shard->table.find(id); it != shard->table.end()) {
+      Frame& f = *shard->frames[it->second];
+      if (f.pin_count.load(std::memory_order_acquire) > 0) {
+        return Status::FailedPrecondition(
+            StrCat("freeing pinned page ", id));
+      }
+      f.page_id = kInvalidPageId;
+      f.dirty.store(false, std::memory_order_relaxed);
+      f.uses.store(0, std::memory_order_relaxed);
+      shard->free_frames.push_back(it->second);
+      shard->table.erase(it);
+    }
+  }
+  std::lock_guard<std::mutex> io(io_mutex_);
+  free_pages_.insert(id);
+  return Status::OK();
 }
 
 void BufferPool::UnpinPage(PageId id, bool dirty) {

@@ -61,6 +61,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
@@ -144,8 +145,18 @@ class BufferPool {
   // when no shard in the whole pool has an evictable frame.
   Result<Page*> FetchPage(PageId id);
 
-  // Allocates a fresh page on disk, pins it and returns it via `out_id`.
+  // Pins a zeroed page and returns it via `out_id`: the lowest page handed
+  // back by FreePage if any (so a refilled table keeps an ascending,
+  // readahead-friendly layout), else a fresh page allocated on disk.
   Result<Page*> NewPage(PageId* out_id);
+
+  // Hands page `id` back for reuse by NewPage: its contents are dead (no
+  // table or index references it any more). The page must be unpinned; a
+  // resident copy is dropped without write-back. The free list lives in
+  // memory only. Under a no-steal WAL that is crash-safe: a crash rolls
+  // back to durable state that never saw the freed page reused, and the
+  // lost list only leaks those pages.
+  Status FreePage(PageId id);
 
   // Releases one pin; `dirty` marks the frame for write-back on eviction.
   // The dirty bit only ever accumulates (unpinning clean never clears a
@@ -272,6 +283,9 @@ class BufferPool {
   // thread safe. Never held while acquiring a shard latch (the only
   // nesting order is shard -> try-locked donor shard -> io).
   mutable std::mutex io_mutex_;
+  // Pages handed back by FreePage, reused lowest first (guarded by
+  // io_mutex_, next to the allocation it replaces).
+  std::set<PageId> free_pages_;
 
   std::mutex streams_mutex_;
   std::vector<Stream> streams_;

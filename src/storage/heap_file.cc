@@ -148,6 +148,16 @@ Status HeapFile::Delete(const Rid& rid) {
   return Status::OK();
 }
 
+Status HeapFile::CollectPages(std::vector<PageId>* out) const {
+  for (PageId id = first_page_id_; id != kInvalidPageId;) {
+    out->push_back(id);
+    PageGuard guard(pool_, id);
+    if (!guard.ok()) return guard.status();
+    id = guard.page()->Read<uint32_t>(kOffNext);
+  }
+  return Status::OK();
+}
+
 bool HeapFile::Iterator::Next(Rid* rid, std::string* record) {
   while (page_id_ != kInvalidPageId) {
     PageGuard guard(file_->pool_, page_id_);

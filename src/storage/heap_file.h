@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "storage/buffer_pool.h"
 #include "storage/page.h"
@@ -59,6 +60,10 @@ class HeapFile {
 
   // Tombstones the record at `rid`. Space within the page is not compacted.
   Status Delete(const Rid& rid);
+
+  // Appends the id of every page of the chain to `out`, head first (for
+  // handing a dropped file's pages back to the pool).
+  Status CollectPages(std::vector<PageId>* out) const;
 
   uint64_t num_records() const { return num_records_; }
   PageId first_page_id() const { return first_page_id_; }

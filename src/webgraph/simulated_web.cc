@@ -361,17 +361,17 @@ Result<SimulatedWeb::FetchResult> SimulatedWeb::Fetch(std::string_view url,
 Result<std::vector<std::string>> SimulatedWeb::Backlinks(
     std::string_view url, int max_results) {
   FOCUS_ASSIGN_OR_RETURN(uint32_t index, PageIndexByUrl(url));
-  if (!inlinks_built_) {
+  InlinkIndex& reverse = *inlinks_;
+  std::call_once(reverse.built, [this, &reverse] {
     for (uint32_t i = 0; i < pages_.size(); ++i) {
       for (uint32_t t : pages_[i].outlinks) {
-        inlinks_[t].push_back(i);
+        reverse.inlinks[t].push_back(i);
       }
     }
-    inlinks_built_ = true;
-  }
+  });
   std::vector<std::string> out;
-  auto it = inlinks_.find(index);
-  if (it == inlinks_.end()) return out;
+  auto it = reverse.inlinks.find(index);
+  if (it == reverse.inlinks.end()) return out;
   for (uint32_t src : it->second) {
     if (static_cast<int>(out.size()) >= max_results) break;
     out.push_back(pages_[src].url);

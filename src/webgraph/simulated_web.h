@@ -8,6 +8,8 @@
 #define FOCUS_WEBGRAPH_SIMULATED_WEB_H_
 
 #include <atomic>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -30,13 +32,12 @@ struct PageInfo {
   std::vector<uint32_t> outlinks;  // page indices
 };
 
-// Thread safety: after Generate, `Fetch` with an explicit `attempt` > 0 and
-// every const member may run concurrently from any number of threads: they
-// read only immutable state and the caller's clock, and the fetch counter
-// is atomic. Two members mutate shared state and need external
-// serialization: `Backlinks` (builds its reverse index lazily) against
-// other `Backlinks` calls, and `Fetch` with `attempt` <= 0 (advances a
-// per-page attempt counter) against other such fetches.
+// Thread safety: after Generate, `Fetch` with an explicit `attempt` > 0,
+// `Backlinks` and every const member may run concurrently from any number
+// of threads: they read only immutable state and the caller's clock, the
+// fetch counter is atomic, and the backlink index is built once under a
+// once-flag. Only `Fetch` with `attempt` <= 0 (advances a per-page attempt
+// counter) needs external serialization against other such fetches.
 class SimulatedWeb {
  public:
   struct FetchResult {
@@ -148,9 +149,13 @@ class SimulatedWeb {
   alignas(std::atomic_ref<uint64_t>::required_alignment) uint64_t
       fetch_count_ = 0;
   std::unordered_map<uint32_t, int> attempt_counts_;  // per-page fetch tries
-  // Lazily built reverse adjacency for Backlinks().
-  std::unordered_map<uint32_t, std::vector<uint32_t>> inlinks_;
-  bool inlinks_built_ = false;
+  // Reverse adjacency for Backlinks(), built on first use. Held by pointer
+  // so SimulatedWeb stays movable (std::once_flag is not).
+  struct InlinkIndex {
+    std::once_flag built;
+    std::unordered_map<uint32_t, std::vector<uint32_t>> inlinks;
+  };
+  std::unique_ptr<InlinkIndex> inlinks_ = std::make_unique<InlinkIndex>();
 };
 
 }  // namespace focus::webgraph

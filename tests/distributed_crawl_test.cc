@@ -17,16 +17,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <condition_variable>
 #include <cstdlib>
 #include <deque>
 #include <limits>
 #include <map>
+#include <mutex>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/focus.h"
 #include "core/sample_taxonomy.h"
+#include "crawl/metrics.h"
 #include "dist/dist_crawl.h"
 #include "dist/shard_router.h"
 #include "storage/crash_fault_disk.h"
@@ -248,12 +253,33 @@ TEST(DistributedCrawlTest, ScheduledShardKillsRecoverAndConverge) {
   chaos.num_shards = 4;
   chaos.fault_plan = &plan;
   chaos.enable_event_logs = true;
+  obs::MetricsRegistry registry;
+  chaos.metrics_registry = &registry;
   DistRun survived = RunDistributed(system.get(), &evaluator, chaos, seeds);
 
   EXPECT_EQ(plan.fired(), 4);
   EXPECT_EQ(survived.dc->total_restarts(), 4);
   ExpectIdenticalRuns(reference, survived);
   ExpectExchangeSettled(survived.dc.get());
+
+  // The queue-depth gauge (kept from each round's delivery read, not from
+  // an audit scan) agrees with the durable audit once the run is done.
+  auto audit = survived.dc->AuditExchange();
+  ASSERT_TRUE(audit.ok()) << audit.status().ToString();
+  std::vector<int64_t> pending(4, 0);
+  for (const WatermarkAudit& a : *audit) {
+    pending[static_cast<size_t>(a.src_shard)] += a.pending;
+  }
+  for (int s = 0; s < 4; ++s) {
+    EXPECT_EQ(registry
+                  .GetGauge("focus_shard_exchange_queue_depth",
+                            {{"shard", std::to_string(s)}})
+                  ->Value(),
+              static_cast<double>(pending[static_cast<size_t>(s)]))
+        << "shard " << s;
+  }
+  EXPECT_EQ(registry.GetGauge("focus_shard_exchange_delivered")->Value(),
+            static_cast<double>(survived.dc->exchange_stats().delivered));
 
   // Provenance: each shard's own log recorded its death and rebirth,
   // stamped with that shard's id.
@@ -284,6 +310,116 @@ TEST(DistributedCrawlTest, ScheduledShardKillsRecoverAndConverge) {
       EXPECT_GT(ev.aux, 0);  // messages delivered
     }
   }
+}
+
+// ---------------------------------------------------------------------
+// Concurrency: the shards of a round crawl at the same time, each
+// counting only its own work.
+
+FocusOptions FaultFreeOptions(uint64_t seed) {
+  FocusOptions options = DistOptions(seed);
+  options.web.fetch_failure_prob = 0.0;
+  options.web.faults.permanent_prob = 0.0;
+  return options;
+}
+
+// Holds each thread's first JudgeBatch until `parties` threads have
+// entered one, or 5 s have passed. The rendezvous completes only when that
+// many shards are inside their crawls at the same time.
+class RendezvousEvaluator final : public crawl::RelevanceEvaluator {
+ public:
+  RendezvousEvaluator(crawl::RelevanceEvaluator* inner, size_t parties)
+      : inner_(inner), parties_(parties) {}
+
+  Result<crawl::PageJudgment> Judge(const text::TermVector& terms) override {
+    return inner_->Judge(terms);
+  }
+
+  Result<std::vector<crawl::PageJudgment>> JudgeBatch(
+      const std::vector<text::TermVector>& docs) override {
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      if (entered_.insert(std::this_thread::get_id()).second) {
+        all_entered_.notify_all();
+        if (!all_entered_.wait_for(lock, std::chrono::seconds(5), [this] {
+              return entered_.size() >= parties_;
+            })) {
+          timed_out_ = true;
+        }
+      }
+    }
+    return inner_->JudgeBatch(docs);
+  }
+
+  bool met() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return !timed_out_ && entered_.size() >= parties_;
+  }
+
+ private:
+  crawl::RelevanceEvaluator* inner_;
+  const size_t parties_;
+  mutable std::mutex mu_;
+  std::condition_variable all_entered_;
+  std::set<std::thread::id> entered_;
+  bool timed_out_ = false;
+};
+
+TEST(DistributedCrawlTest, ShardsOfARoundCrawlConcurrently) {
+  if (std::thread::hardware_concurrency() < 4) {
+    GTEST_SKIP() << "four shards overlap only on four hardware threads";
+  }
+  auto system = TrainedSystem(FaultFreeOptions(47));
+  // Two seeds on every shard, so each shard crawls in the first round.
+  constexpr int kShards = 4;
+  ShardRouter router(kShards);
+  std::vector<std::string> seeds;
+  std::vector<int> per_shard(kShards, 0);
+  const webgraph::SimulatedWeb& web = system->web();
+  for (uint32_t i = 0; i < web.num_pages(); ++i) {
+    int s = router.ShardOfUrl(web.page(i).url);
+    if (per_shard[static_cast<size_t>(s)] == 2) continue;
+    ++per_shard[static_cast<size_t>(s)];
+    seeds.push_back(web.page(i).url);
+  }
+  ASSERT_EQ(seeds.size(), 2u * kShards);
+
+  crawl::ClassifierEvaluator classifier(&system->classifier());
+  RendezvousEvaluator rendezvous(&classifier, kShards);
+  DistCrawlOptions dopts;
+  dopts.num_shards = kShards;
+  DistRun run = RunDistributed(system.get(), &rendezvous, dopts, seeds);
+  EXPECT_TRUE(rendezvous.met())
+      << "the four shards were never inside their crawls at once";
+  EXPECT_GT(run.visited.size(), 50u);
+  ExpectExchangeSettled(run.dc.get());
+}
+
+TEST(DistributedCrawlTest, EachShardsStageMetricsCountItsOwnWork) {
+  auto system = TrainedSystem(FaultFreeOptions(53));
+  Cid cycling = system->tax().FindByName("cycling").value();
+  std::vector<std::string> seeds = system->web().KeywordSeeds(cycling, 8);
+  crawl::ClassifierEvaluator evaluator(&system->classifier());
+  obs::MetricsRegistry registry;
+  DistCrawlOptions dopts;
+  dopts.num_shards = 2;
+  dopts.metrics_registry = &registry;
+  DistRun run = RunDistributed(system.get(), &evaluator, dopts, seeds);
+
+  uint64_t total_pops = 0;
+  for (int s = 0; s < 2; ++s) {
+    SCOPED_TRACE(s);
+    const crawl::Crawler* crawler = run.dc->crawler(s);
+    // Fault-free: every pop is exactly one fetch attempt.
+    EXPECT_GT(crawler->stats().attempts, 0u);
+    crawl::StageMetricsSnapshot own = crawler->stage_metrics().Snapshot();
+    EXPECT_EQ(own.frontier_pops, crawler->stats().attempts);
+    EXPECT_EQ(own.batched_pages, crawler->visits().size());
+    total_pops += own.frontier_pops;
+  }
+  // The shared registry counter still sums both shards.
+  EXPECT_EQ(registry.GetCounter("focus_crawl_frontier_pops_total")->Value(),
+            total_pops);
 }
 
 // ---------------------------------------------------------------------

@@ -69,6 +69,23 @@ TEST_F(ExternalSortTest, SpillsAndMergesCorrectly) {
   }
 }
 
+TEST_F(ExternalSortTest, SpillPagesAreReusedAcrossSorts) {
+  // Each Close hands the runs' pages back to the pool, so sorting the
+  // same input again (a distiller iteration) spills into the same pages.
+  auto rows = RandomRows(5000, 300, 4);
+  uint32_t first_sort_pages = 0;
+  for (int round = 0; round < 10; ++round) {
+    ExternalSort ext(std::make_unique<MaterializedSource>(KV(), rows),
+                     {{0, false}}, &pool_, /*memory_budget_rows=*/256);
+    auto out = Collect(&ext);
+    ASSERT_TRUE(out.ok());
+    ASSERT_EQ(out.value().size(), rows.size());
+    ASSERT_GE(ext.num_runs(), 15);
+    if (round == 0) first_sort_pages = disk_.NumPages();
+  }
+  EXPECT_EQ(disk_.NumPages(), first_sort_pages);
+}
+
 TEST_F(ExternalSortTest, StableAcrossSpills) {
   // Equal keys must keep input order even when they straddle runs.
   std::vector<Tuple> rows;

@@ -201,6 +201,64 @@ TEST_F(SqlTest, ClearEmptiesTable) {
   EXPECT_TRUE(rows.value().empty());
 }
 
+// Clear hands the old heap and index pages back to the pool, so a table
+// cleared and refilled over and over (the distiller's HUBS/AUTH) stays the
+// size of one generation instead of leaking one per refill.
+TEST_F(SqlTest, ClearAndRefillReusesPages) {
+  Table* link = MakeLinkTable();
+  auto fill = [&](int generation) {
+    for (int i = 0; i < 3000; ++i) {
+      Tuple row({Value::Int64(i), Value::Int32(generation),
+                 Value::Int64(3000 - i), Value::Int32(0), Value::Double(0),
+                 Value::Double(0)});
+      ASSERT_TRUE(link->Insert(row).ok());
+    }
+  };
+  uint32_t before = disk_.NumPages();
+  fill(0);
+  uint32_t generation_pages = disk_.NumPages() - before;
+  ASSERT_GT(generation_pages, 20u);  // several heap pages and tree levels
+  for (int g = 1; g <= 20; ++g) {
+    ASSERT_TRUE(link->Clear().ok());
+    fill(g);
+    EXPECT_LE(disk_.NumPages(), before + 2 * generation_pages)
+        << "refill " << g;
+  }
+  // The reused pages hold exactly the last generation.
+  EXPECT_EQ(link->num_rows(), 3000u);
+  auto rows = Collect(std::make_unique<SeqScan>(link).get());
+  ASSERT_TRUE(rows.ok());
+  ASSERT_EQ(rows.value().size(), 3000u);
+  for (const Tuple& t : rows.value()) EXPECT_EQ(t.Get(1).AsInt32(), 20);
+  std::vector<storage::Rid> rids;
+  ASSERT_TRUE(link->IndexLookup(link->IndexId("by_dst"), {Value::Int64(17)},
+                                &rids)
+                  .ok());
+  ASSERT_EQ(rids.size(), 1u);
+  Tuple hit;
+  ASSERT_TRUE(link->Get(rids[0], &hit).ok());
+  EXPECT_EQ(hit.Get(0).AsInt64(), 3000 - 17);
+}
+
+// DropTable hands the pages back too: the batch evaluator creates and
+// drops one scratch table per classify batch.
+TEST_F(SqlTest, DropAndRecreateReusesPages) {
+  uint32_t before = disk_.NumPages();
+  uint32_t bound = 0;
+  for (int g = 0; g < 10; ++g) {
+    Table* link = MakeLinkTable();
+    for (int i = 0; i < 2000; ++i) {
+      ASSERT_TRUE(link->Insert(Tuple({Value::Int64(i), Value::Int32(g),
+                                      Value::Int64(i), Value::Int32(0),
+                                      Value::Double(0), Value::Double(0)}))
+                      .ok());
+    }
+    if (g == 0) bound = before + 2 * (disk_.NumPages() - before);
+    ASSERT_TRUE(catalog_.DropTable("LINK").ok());
+  }
+  EXPECT_LE(disk_.NumPages(), bound);
+}
+
 TEST_F(SqlTest, CompositeKeyPacking) {
   // A STAT-style table keyed on (kcid:16, tid:32).
   auto t = catalog_.CreateTable(

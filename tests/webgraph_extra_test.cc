@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <latch>
 #include <map>
 #include <string>
 #include <thread>
@@ -179,6 +180,51 @@ TEST(WebFetchTest, ConcurrentExplicitAttemptFetchesMatchSerial) {
     EXPECT_EQ(got[i], expected[i]) << "page " << i;
   }
   EXPECT_EQ(web.fetch_count(), serial_count + successes);
+}
+
+TEST(WebBacklinksTest, ConcurrentFirstCallsMatchSerial) {
+  // The reverse index behind Backlinks is built on first use; threads that
+  // race to that first use (DistCrawl shards crawl concurrently over one
+  // web) must all see the complete index.
+  Taxonomy tax = TwoTopicTax();
+  WebConfig config;
+  config.seed = 23;
+  config.pages_per_topic = 100;
+  config.background_pages = 20000;  // a build slow enough to overlap
+  config.background_servers = 200;
+  auto serial_web = SimulatedWeb::Generate(tax, config, {}).TakeValue();
+  auto fresh_web = SimulatedWeb::Generate(tax, config, {}).TakeValue();
+
+  const uint32_t n = static_cast<uint32_t>(serial_web.num_pages());
+  using Citers = std::vector<std::string>;
+  std::vector<Citers> expected(n);
+  size_t cited = 0;
+  for (uint32_t i = 0; i < n; ++i) {
+    auto r = serial_web.Backlinks(serial_web.page(i).url, 8);
+    ASSERT_TRUE(r.ok()) << r.status();
+    expected[i] = r.TakeValue();
+    if (!expected[i].empty()) ++cited;
+  }
+  ASSERT_GT(cited, n / 2);
+
+  constexpr uint32_t kThreads = 4;
+  std::vector<Citers> got(n);
+  std::vector<std::thread> threads;
+  // Released together, so the threads race to the index's first build.
+  std::latch start(kThreads);
+  for (uint32_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      for (uint32_t i = t; i < n; i += kThreads) {
+        auto r = fresh_web.Backlinks(fresh_web.page(i).url, 8);
+        if (r.ok()) got[i] = r.TakeValue();
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (uint32_t i = 0; i < n; ++i) {
+    EXPECT_EQ(got[i], expected[i]) << "page " << i;
+  }
 }
 
 TEST(WebTextTest, PurityJitterVariesDocumentsButStaysDeterministic) {
