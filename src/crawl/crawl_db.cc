@@ -287,16 +287,16 @@ Status CrawlDb::AddUrl(std::string_view url, double relevance_estimate,
   if (!rids.empty()) {
     return Status::AlreadyExists(StrCat("url ", url));
   }
-  return AddUnknownUrl(url, relevance_estimate, serverload);
+  return AddUnknownUrl(oid, ServerIdOf(url), url, relevance_estimate,
+                       serverload);
 }
 
-Status CrawlDb::AddUnknownUrl(std::string_view url, double relevance_estimate,
-                              int32_t serverload) {
-  uint64_t oid = UrlOid(url);
+Status CrawlDb::AddUnknownUrl(uint64_t oid, int32_t sid, std::string_view url,
+                              double relevance_estimate, int32_t serverload) {
   return crawl_
       ->Insert(Tuple({Value::Int64(static_cast<int64_t>(oid)),
-                      Value::Str(std::string(url)),
-                      Value::Int32(ServerIdOf(url)), Value::Int32(0),
+                      Value::Str(std::string(url)), Value::Int32(sid),
+                      Value::Int32(0),
                       Value::Double(relevance_estimate),
                       Value::Int32(serverload), Value::Int64(0),
                       Value::Int32(-1), Value::Int32(0), Value::Int64(0)}))
@@ -345,11 +345,17 @@ Status CrawlDb::RaiseRelevance(uint64_t oid, double relevance) {
 }
 
 Status CrawlDb::AddLink(std::string_view src_url, std::string_view dst_url) {
+  return AddLink(UrlOid(src_url), ServerIdOf(src_url), UrlOid(dst_url),
+                 ServerIdOf(dst_url));
+}
+
+Status CrawlDb::AddLink(uint64_t src_oid, int32_t src_sid, uint64_t dst_oid,
+                        int32_t dst_sid) {
   return link_
-      ->Insert(Tuple({Value::Int64(static_cast<int64_t>(UrlOid(src_url))),
-                      Value::Int32(ServerIdOf(src_url)),
-                      Value::Int64(static_cast<int64_t>(UrlOid(dst_url))),
-                      Value::Int32(ServerIdOf(dst_url)), Value::Double(0),
+      ->Insert(Tuple({Value::Int64(static_cast<int64_t>(src_oid)),
+                      Value::Int32(src_sid),
+                      Value::Int64(static_cast<int64_t>(dst_oid)),
+                      Value::Int32(dst_sid), Value::Double(0),
                       Value::Double(0)}))
       .status();
 }

@@ -109,11 +109,12 @@ class CrawlDb {
   // Inserts a new URL row (visited = 0). AlreadyExists if the oid is known.
   Status AddUrl(std::string_view url, double relevance_estimate,
                 int32_t serverload);
-  // AddUrl without its by_oid probe, for a caller that has just seen
-  // Lookup(UrlOid(url)) return no row: each outlink then costs one index
-  // probe, not two. A known oid would get a duplicate row.
-  Status AddUnknownUrl(std::string_view url, double relevance_estimate,
-                       int32_t serverload);
+  // AddUrl without its by_oid probe, for a caller that already knows the
+  // URL is not in CRAWL (the crawler keeps every known oid in memory) and
+  // has its oid = UrlOid(url) and sid = ServerIdOf(url) at hand. A known
+  // oid would get a duplicate row.
+  Status AddUnknownUrl(uint64_t oid, int32_t sid, std::string_view url,
+                       double relevance_estimate, int32_t serverload);
 
   // Fetch-attempt bookkeeping: numtries += 1.
   Status RecordAttempt(uint64_t oid);
@@ -134,6 +135,9 @@ class CrawlDb {
   // Appends a LINK row; edge weights start at 0 (assigned by
   // RefreshEdgeWeights once endpoint relevances are known).
   Status AddLink(std::string_view src_url, std::string_view dst_url);
+  // The same from precomputed oids (UrlOid) and sids (ServerIdOf).
+  Status AddLink(uint64_t src_oid, int32_t src_sid, uint64_t dst_oid,
+                 int32_t dst_sid);
 
   // Sets wgt_fwd = R(dst), wgt_rev = R(src) for every LINK row, reading
   // relevances from CRAWL (§2.2.2). Unvisited endpoints weigh their

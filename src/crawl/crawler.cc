@@ -55,7 +55,11 @@ Crawler::~Crawler() = default;
 Status Crawler::AddSeed(std::string_view url) {
   std::lock_guard<std::mutex> lock(state_mutex_);
   Status s = db_->AddUrl(url, /*relevance_estimate=*/1.0, /*serverload=*/0);
-  if (!s.ok() && s.code() != StatusCode::kAlreadyExists) return s;
+  if (s.ok()) {
+    url_state_.emplace(UrlOid(url), UrlState{/*relevance=*/1.0});
+  } else if (s.code() != StatusCode::kAlreadyExists) {
+    return s;
+  }
   FrontierEntry entry;
   entry.oid = UrlOid(url);
   entry.url = std::string(url);
@@ -72,6 +76,8 @@ Status Crawler::AddSeed(std::string_view url) {
 }
 
 Status Crawler::CommitBatch() {
+  std::unique_lock<std::mutex> link_lock =
+      TimedLock(link_mutex_, CrawlLock::kLink);
   if (options_.checkpoint_every_batches > 0 &&
       ++commits_since_checkpoint_ >= options_.checkpoint_every_batches) {
     commits_since_checkpoint_ = 0;
@@ -158,6 +164,8 @@ Status Crawler::RefreshPageRankPriorities() {
     return it->second;
   };
   {
+    std::unique_lock<std::mutex> link_lock =
+        TimedLock(link_mutex_, CrawlLock::kLink);
     auto it = db_->link_table()->Scan();
     storage::Rid rid;
     sql::Tuple row;
@@ -179,99 +187,84 @@ Status Crawler::RefreshPageRankPriorities() {
   return Status::OK();
 }
 
-Status Crawler::ExpandLinks(const webgraph::SimulatedWeb::FetchResult& fetch,
-                            const PageJudgment& judgment, int64_t at_us) {
-  bool expand_frontier = true;
-  if (options_.expansion == ExpansionRule::kHardFocus) {
-    expand_frontier = judgment.best_leaf_is_good;
+Status Crawler::AdmitUnknownUrl(std::string_view url, uint64_t oid,
+                                int32_t sid, double relevance,
+                                int32_t backlinks, int64_t parent_oid,
+                                int64_t at_us, int64_t aux) {
+  const int32_t load = server_fetches_[sid];
+  FOCUS_RETURN_IF_ERROR(db_->AddUnknownUrl(oid, sid, url, relevance, load));
+  url_state_.emplace(oid, UrlState{relevance, backlinks});
+  FrontierEntry entry;
+  entry.oid = oid;
+  entry.url = std::string(url);
+  entry.relevance = relevance;
+  entry.serverload = load;
+  entry.backlinks = backlinks;
+  frontier_.AddOrUpdate(entry);
+  if (options_.event_log != nullptr) {
+    options_.event_log->Record(obs::CrawlEventType::kFrontierAdmit,
+                               static_cast<int64_t>(oid), parent_oid, sid,
+                               at_us, relevance, aux);
   }
-  const int64_t src_oid = static_cast<int64_t>(UrlOid(fetch.url));
-  // Revisits must not duplicate LINK rows.
-  bool record_links = links_recorded_.insert(UrlOid(fetch.url)).second;
-  for (const std::string& dst : fetch.outlink_urls) {
-    // The LINK table records the crawl graph regardless of the expansion
-    // decision; only frontier insertion is gated.
-    if (record_links) {
-      FOCUS_RETURN_IF_ERROR(db_->AddLink(fetch.url, dst));
-    }
-    if (!expand_frontier) continue;
+  return Status::OK();
+}
 
-    uint64_t dst_oid = UrlOid(dst);
+Status Crawler::ExpandLinks(const FetchedPage& page,
+                            const PageJudgment& judgment) {
+  // The LINK rows are already written (RecordLinks); only frontier
+  // insertion is gated by the expansion rule.
+  if (options_.expansion == ExpansionRule::kHardFocus &&
+      !judgment.best_leaf_is_good) {
+    return Status::OK();
+  }
+  const int64_t src_oid = static_cast<int64_t>(page.oid);
+  const int64_t at_us = page.fetched_at_us;
+  const double estimate = judgment.relevance;
+  for (size_t i = 0; i < page.outlinks.size(); ++i) {
+    const std::string& dst = page.fetch.outlink_urls[i];
+    const OutLink& link = page.outlinks[i];
     if (options_.link_sink != nullptr && !options_.link_sink->Owns(dst)) {
       // Cross-shard target (its whole server belongs to another shard, so
       // its host root does too): journal the admission for the owner and
       // leave the local frontier alone.
-      if (options_.try_truncated_urls) {
-        std::string root = TruncateToHostRoot(dst);
-        if (root != dst) {
-          FOCUS_RETURN_IF_ERROR(
-              ExportRemoteLink(UrlOid(fetch.url), root, judgment.relevance,
-                               /*raise_if_known=*/false));
-        }
+      if (!link.root.empty()) {
+        FOCUS_RETURN_IF_ERROR(ExportRemoteLink(page.oid, link.root, estimate,
+                                               /*raise_if_known=*/false));
       }
-      FOCUS_RETURN_IF_ERROR(ExportRemoteLink(UrlOid(fetch.url), dst,
-                                             judgment.relevance,
+      FOCUS_RETURN_IF_ERROR(ExportRemoteLink(page.oid, dst, estimate,
                                              /*raise_if_known=*/true));
       continue;
     }
-    if (options_.try_truncated_urls) {
-      // Also consider the target's host root (server index pages are often
-      // excellent resource lists).
-      std::string root = TruncateToHostRoot(dst);
-      if (root != dst) {
-        FOCUS_ASSIGN_OR_RETURN(std::optional<CrawlRecord> known,
-                               db_->Lookup(UrlOid(root)));
-        if (!known.has_value()) {
-          FOCUS_RETURN_IF_ERROR(
-              db_->AddUnknownUrl(root, judgment.relevance,
-                                 server_fetches_[ServerIdOf(root)]));
-          FrontierEntry entry;
-          entry.oid = UrlOid(root);
-          entry.url = root;
-          entry.relevance = judgment.relevance;
-          entry.serverload = server_fetches_[ServerIdOf(root)];
-          frontier_.AddOrUpdate(entry);
-          if (options_.event_log != nullptr) {
-            options_.event_log->Record(
-                obs::CrawlEventType::kFrontierAdmit,
-                static_cast<int64_t>(entry.oid), src_oid,
-                ServerIdOf(root), at_us, judgment.relevance, /*aux=*/1);
-          }
-        }
-      }
+    // Also consider the target's host root (server index pages are often
+    // excellent resource lists).
+    if (!link.root.empty() && !url_state_.contains(link.root_oid)) {
+      FOCUS_RETURN_IF_ERROR(AdmitUnknownUrl(link.root, link.root_oid,
+                                            link.sid, estimate,
+                                            /*backlinks=*/0, src_oid, at_us,
+                                            /*aux=*/1));
     }
-    FOCUS_ASSIGN_OR_RETURN(std::optional<CrawlRecord> existing,
-                           db_->Lookup(dst_oid));
-    double estimate = judgment.relevance;
-    int32_t load = server_fetches_[ServerIdOf(dst)];
-    if (!existing.has_value()) {
-      FOCUS_RETURN_IF_ERROR(db_->AddUnknownUrl(dst, estimate, load));
-      FrontierEntry entry;
-      entry.oid = dst_oid;
-      entry.url = dst;
-      entry.relevance = estimate;
-      entry.serverload = load;
-      entry.backlinks = ++backlink_counts_[dst_oid];
-      frontier_.AddOrUpdate(entry);
-      if (options_.event_log != nullptr) {
-        options_.event_log->Record(obs::CrawlEventType::kFrontierAdmit,
-                                   static_cast<int64_t>(dst_oid), src_oid,
-                                   ServerIdOf(dst), at_us, estimate,
-                                   /*aux=*/0);
-      }
-    } else if (!existing->visited) {
-      // A better citation raises the unvisited page's priority; every
-      // citation raises its backlink count (Cho ordering signal).
-      int32_t backlinks = ++backlink_counts_[dst_oid];
-      if (estimate > existing->relevance) {
-        FOCUS_RETURN_IF_ERROR(db_->RaiseRelevance(dst_oid, estimate));
-      }
-      frontier_.UpdateIfPresent(dst_oid, [&](FrontierEntry* e) {
-        e->relevance = std::max(e->relevance, estimate);
-        e->serverload = load;
-        e->backlinks = backlinks;
-      });
+    auto known = url_state_.find(link.oid);
+    if (known == url_state_.end()) {
+      FOCUS_RETURN_IF_ERROR(AdmitUnknownUrl(dst, link.oid, link.sid,
+                                            estimate, /*backlinks=*/1,
+                                            src_oid, at_us, /*aux=*/0));
+      continue;
     }
+    UrlState& state = known->second;
+    if (state.visited) continue;
+    // A better citation raises the unvisited page's priority; every
+    // citation raises its backlink count (Cho ordering signal).
+    const int32_t backlinks = ++state.backlinks;
+    if (estimate > state.relevance) {
+      FOCUS_RETURN_IF_ERROR(db_->RaiseRelevance(link.oid, estimate));
+      state.relevance = estimate;
+    }
+    const int32_t load = server_fetches_[link.sid];
+    frontier_.UpdateIfPresent(link.oid, [&](FrontierEntry* e) {
+      e->relevance = std::max(e->relevance, estimate);
+      e->serverload = load;
+      e->backlinks = backlinks;
+    });
   }
   return Status::OK();
 }
@@ -301,32 +294,20 @@ Status Crawler::AdmitRemoteLink(std::string_view url, double relevance,
                                 int64_t parent_oid, bool raise_if_known) {
   std::lock_guard<std::mutex> lock(state_mutex_);
   uint64_t oid = UrlOid(url);
-  int32_t sid = ServerIdOf(url);
-  FOCUS_ASSIGN_OR_RETURN(std::optional<CrawlRecord> existing,
-                         db_->Lookup(oid));
-  if (!existing.has_value()) {
-    FOCUS_RETURN_IF_ERROR(
-        db_->AddUnknownUrl(url, relevance, server_fetches_[sid]));
-    FrontierEntry entry;
-    entry.oid = oid;
-    entry.url = std::string(url);
-    entry.relevance = relevance;
-    entry.serverload = server_fetches_[sid];
-    entry.backlinks = ++backlink_counts_[oid];
-    frontier_.AddOrUpdate(entry);
-    if (options_.event_log != nullptr) {
-      options_.event_log->Record(obs::CrawlEventType::kFrontierAdmit,
-                                 static_cast<int64_t>(oid), parent_oid, sid,
-                                 clock_.NowMicros(), relevance, /*aux=*/3);
-    }
-    return Status::OK();
+  auto known = url_state_.find(oid);
+  if (known == url_state_.end()) {
+    return AdmitUnknownUrl(url, oid, ServerIdOf(url), relevance,
+                           /*backlinks=*/1, parent_oid, clock_.NowMicros(),
+                           /*aux=*/3);
   }
-  if (!raise_if_known || existing->visited) return Status::OK();
+  UrlState& state = known->second;
+  if (!raise_if_known || state.visited) return Status::OK();
   // Same as the local ExpandLinks path for a known unvisited citation:
   // count the backlink, raise the estimate (max), re-rank if live.
-  int32_t backlinks = ++backlink_counts_[oid];
-  if (relevance > existing->relevance) {
+  int32_t backlinks = ++state.backlinks;
+  if (relevance > state.relevance) {
     FOCUS_RETURN_IF_ERROR(db_->RaiseRelevance(oid, relevance));
+    state.relevance = relevance;
   }
   frontier_.UpdateIfPresent(oid, [&](FrontierEntry* e) {
     e->relevance = std::max(e->relevance, relevance);
@@ -337,6 +318,8 @@ Status Crawler::AdmitRemoteLink(std::string_view url, double relevance,
 
 Status Crawler::RunDistillationBoost() {
   FOCUS_SPAN("crawl.distill_boost");
+  std::unique_lock<std::mutex> link_lock =
+      TimedLock(link_mutex_, CrawlLock::kLink);
   if (!distill_tables_ready_) {
     distill_tables_.link = db_->link_table();
     distill_tables_.crawl = db_->crawl_table();
@@ -382,8 +365,14 @@ Status Crawler::RunDistillationBoost() {
         e->hub_score = score;
       });
       if (!boosted) continue;
+      auto known = url_state_.find(dst_oid);
+      if (known == url_state_.end() || known->second.visited ||
+          known->second.relevance >= options_.hub_boost_relevance) {
+        continue;
+      }
       FOCUS_RETURN_IF_ERROR(
           db_->RaiseRelevance(dst_oid, options_.hub_boost_relevance));
+      known->second.relevance = options_.hub_boost_relevance;
     }
   }
   return Status::OK();
@@ -413,12 +402,17 @@ Status Crawler::ResumeFromDb() {
     FOCUS_RETURN_IF_ERROR(crawl_it.status());
   }
   std::unordered_map<uint64_t, uint64_t> first_citer;
-  if (elog != nullptr) {
+  {
+    std::lock_guard<std::mutex> link_lock(link_mutex_);
     auto link_it = db_->link_table()->Scan();
     storage::Rid link_rid;
     sql::Tuple link_row;
     while (link_it.Next(&link_rid, &link_row)) {
       uint64_t src = static_cast<uint64_t>(link_row.Get(0).AsInt64());
+      // Every source in LINK has its edges recorded, visited or not (see
+      // ResumeFromDb in crawler.h).
+      links_recorded_.insert(src);
+      if (elog == nullptr) continue;
       uint64_t dst = static_cast<uint64_t>(link_row.Get(2).AsInt64());
       // LINK is a graph with cycles (a seed gets cited by its own
       // descendants), but discovery is causal: a citation only counts
@@ -480,11 +474,13 @@ Status Crawler::ResumeFromDb() {
   };
   uint64_t restored = 0;
   int64_t max_visit_us = 0;
+  url_state_.reserve(records.size());
   for (const CrawlRecord& rec : records) {
     emit_reconciled(rec);
+    url_state_.emplace(rec.oid, UrlState{rec.relevance, /*backlinks=*/0,
+                                         rec.visited});
     if (rec.visited) {
       ++server_fetches_[rec.sid];
-      links_recorded_.insert(rec.oid);
       max_visit_us = std::max(max_visit_us, rec.lastvisited);
       continue;
     }
@@ -513,7 +509,8 @@ Status Crawler::ResumeFromDb() {
         static_cast<double>(breaker_.open_count()));
   }
   FOCUS_LOG(Info, "resumed crawl: ", restored, " frontier entries, ",
-            links_recorded_.size(), " pages already visited, ",
+            visited_at.size(), " pages already visited, ",
+            links_recorded_.size(), " pages with recorded links, ",
             breakers.size(), " breaker records");
   return Status::OK();
 }
@@ -633,23 +630,72 @@ Crawler::GatheredBatch Crawler::GatherBatch(int worker,
   return out;
 }
 
+std::unique_lock<std::mutex> Crawler::TimedLock(std::mutex& mu,
+                                                CrawlLock lock) {
+  Stopwatch wait;
+  std::unique_lock<std::mutex> guard(mu);
+  stage_metrics_->AddLockWaitMicros(
+      lock, static_cast<uint64_t>(wait.ElapsedMicros()));
+  return guard;
+}
+
+void Crawler::ComputeLinkKeys(std::vector<FetchedPage>* pages) const {
+  for (FetchedPage& page : *pages) {
+    page.oid = UrlOid(page.fetch.url);
+    page.sid = ServerIdOf(page.fetch.url);
+    page.outlinks.resize(page.fetch.outlink_urls.size());
+    for (size_t i = 0; i < page.outlinks.size(); ++i) {
+      const std::string& dst = page.fetch.outlink_urls[i];
+      OutLink& link = page.outlinks[i];
+      link.oid = UrlOid(dst);
+      link.sid = ServerIdOf(dst);
+      if (options_.try_truncated_urls) {
+        std::string root = TruncateToHostRoot(dst);
+        if (root != dst) {
+          link.root_oid = UrlOid(root);
+          link.root = std::move(root);
+        }
+      }
+    }
+  }
+}
+
+Status Crawler::RecordLinks(const std::vector<FetchedPage>& pages) {
+  FOCUS_SPAN("crawl.record_links");
+  std::unique_lock<std::mutex> lock = TimedLock(link_mutex_, CrawlLock::kLink);
+  Stopwatch link_timer;
+  for (const FetchedPage& page : pages) {
+    // The LINK table records the crawl graph regardless of the expansion
+    // decision, once per page: revisits must not duplicate edges.
+    if (!links_recorded_.insert(page.oid).second) continue;
+    for (const OutLink& link : page.outlinks) {
+      FOCUS_RETURN_IF_ERROR(
+          db_->AddLink(page.oid, page.sid, link.oid, link.sid));
+    }
+  }
+  stage_metrics_->AddLinkMicros(
+      static_cast<uint64_t>(link_timer.ElapsedMicros()));
+  return Status::OK();
+}
+
 Status Crawler::RecordBatch(std::vector<FetchedPage>* pages,
                             const std::vector<PageJudgment>& judgments) {
   FOCUS_SPAN("crawl.record_batch");
-  Stopwatch lock_wait;
-  std::unique_lock<std::mutex> lock(state_mutex_);
-  stage_metrics_->AddLockWaitMicros(
-      static_cast<uint64_t>(lock_wait.ElapsedMicros()));
+  std::unique_lock<std::mutex> lock =
+      TimedLock(state_mutex_, CrawlLock::kState);
   Stopwatch expand_timer;
   // Each page's budget slot becomes its visit: budget_used_ is unchanged.
   stats_.attempts += pages->size();
   for (size_t i = 0; i < pages->size(); ++i) {
     FetchedPage& page = (*pages)[i];
     const PageJudgment& judgment = judgments[i];
-    uint64_t oid = UrlOid(page.fetch.url);
+    const uint64_t oid = page.oid;
     FOCUS_RETURN_IF_ERROR(db_->RecordVisit(oid, judgment.relevance,
                                            judgment.best_leaf,
                                            page.fetched_at_us));
+    UrlState& state = url_state_[oid];
+    state.relevance = judgment.relevance;
+    state.visited = true;
     ++server_fetches_[page.fetch.server_id];
     Visit visit;
     visit.fetch_index = static_cast<int>(visits_.size());
@@ -663,15 +709,13 @@ Status Crawler::RecordBatch(std::vector<FetchedPage>* pages,
     if (options_.event_log != nullptr) {
       options_.event_log->Record(obs::CrawlEventType::kClassifyVerdict,
                                  static_cast<int64_t>(oid),
-                                 /*parent_oid=*/-1,
-                                 ServerIdOf(page.fetch.url),
+                                 /*parent_oid=*/-1, page.sid,
                                  page.fetched_at_us, judgment.relevance,
                                  /*aux=*/static_cast<int64_t>(
                                      judgment.best_leaf));
     }
 
-    FOCUS_RETURN_IF_ERROR(
-        ExpandLinks(page.fetch, judgment, page.fetched_at_us));
+    FOCUS_RETURN_IF_ERROR(ExpandLinks(page, judgment));
 
     if (options_.expand_backlinks &&
         judgment.relevance > options_.backlink_relevance_threshold) {
@@ -679,7 +723,6 @@ Status Crawler::RecordBatch(std::vector<FetchedPage>* pages,
           std::vector<std::string> citers,
           web_->Backlinks(page.fetch.url, options_.backlinks_per_page));
       for (const std::string& citer : citers) {
-        uint64_t citer_oid = UrlOid(citer);
         if (options_.link_sink != nullptr &&
             !options_.link_sink->Owns(citer)) {
           FOCUS_RETURN_IF_ERROR(ExportRemoteLink(oid, citer,
@@ -687,32 +730,20 @@ Status Crawler::RecordBatch(std::vector<FetchedPage>* pages,
                                                  /*raise_if_known=*/false));
           continue;
         }
-        FOCUS_ASSIGN_OR_RETURN(std::optional<CrawlRecord> known,
-                               db_->Lookup(citer_oid));
-        if (known.has_value()) continue;
-        FOCUS_RETURN_IF_ERROR(
-            db_->AddUnknownUrl(citer, judgment.relevance,
-                               server_fetches_[ServerIdOf(citer)]));
-        FrontierEntry entry;
-        entry.oid = citer_oid;
-        entry.url = citer;
-        entry.relevance = judgment.relevance;
-        entry.serverload = server_fetches_[ServerIdOf(citer)];
-        frontier_.AddOrUpdate(entry);
-        if (options_.event_log != nullptr) {
-          options_.event_log->Record(obs::CrawlEventType::kFrontierAdmit,
-                                     static_cast<int64_t>(citer_oid),
-                                     static_cast<int64_t>(oid),
-                                     ServerIdOf(citer), page.fetched_at_us,
-                                     judgment.relevance, /*aux=*/2);
-        }
+        uint64_t citer_oid = UrlOid(citer);
+        if (url_state_.contains(citer_oid)) continue;
+        FOCUS_RETURN_IF_ERROR(AdmitUnknownUrl(
+            citer, citer_oid, ServerIdOf(citer), judgment.relevance,
+            /*backlinks=*/0, static_cast<int64_t>(oid), page.fetched_at_us,
+            /*aux=*/2));
       }
     }
   }
   Status boosts = RunPeriodicBoosts();
   Status flush = FlushBreakerState();
   // Pipeline batch boundary: everything this record/expand critical
-  // section wrote becomes one durable WAL commit (no-op without a WAL).
+  // section wrote becomes one durable WAL commit (no-op without a WAL),
+  // together with whatever LINK rows link sections have written so far.
   Status commit = CommitBatch();
   stage_metrics_->AddExpandMicros(
       static_cast<uint64_t>(expand_timer.ElapsedMicros()));
@@ -860,6 +891,7 @@ Status Crawler::PipelineWorker(int worker, VirtualClock* worker_clock) {
       // now rather than holding it through classification.
       std::vector<std::string>().swap(page.fetch.tokens);
     }
+    ComputeLinkKeys(&fetched);
     Stopwatch classify_timer;
     auto judged = [&] {
       FOCUS_SPAN_VT("crawl.classify_batch", worker_clock);
@@ -876,7 +908,8 @@ Status Crawler::PipelineWorker(int worker, VirtualClock* worker_clock) {
       return judged.status();
     }
 
-    // --- record/expand stage (state lock) ---
+    // --- link stage (link lock), then record/expand stage (state lock) ---
+    FOCUS_RETURN_IF_ERROR(RecordLinks(fetched));
     FOCUS_RETURN_IF_ERROR(RecordBatch(&fetched, judged.value()));
   }
 }

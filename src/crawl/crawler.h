@@ -162,6 +162,9 @@ struct CrawlStats {
 
 class StageMetrics;
 
+// The crawler's two locks, for per-lock wait accounting.
+enum class CrawlLock { kState, kLink };
+
 class Crawler {
  public:
   // `catalog` hosts the HUBS/AUTH tables for periodic distillation; all
@@ -173,13 +176,18 @@ class Crawler {
   // Registers a start URL with relevance estimate 1.
   Status AddSeed(std::string_view url);
 
-  // Rebuilds the in-memory frontier from the CRAWL table — the recovery
-  // path §3.1 motivates ("Few pages on the Web are formally checked for
-  // well-formedness, hence all crawlers crash"): the table is the durable
-  // crawl state; a fresh Crawler over the same CrawlDb resumes where the
-  // dead one stopped. Unvisited rows within the retry limit re-enter the
-  // frontier with their stored priority fields; visited rows seed the
-  // link-dedup set so resumed revisits do not duplicate LINK rows.
+  // Rebuilds the in-memory crawl state from the CRAWL and LINK tables —
+  // the recovery path §3.1 motivates ("Few pages on the Web are formally
+  // checked for well-formedness, hence all crawlers crash"): the tables
+  // are the durable crawl state; a fresh Crawler over the same CrawlDb
+  // resumes where the dead one stopped. Every CRAWL row enters the
+  // URL-state map (backlink counts restart at 0); unvisited rows within
+  // the retry limit re-enter the frontier with their stored priority
+  // fields. The link-dedup set is seeded from LINK's source oids, not from
+  // visited rows: LINK rows are written before their batch's visits are
+  // recorded, so a commit can hold the edges of a page that is still
+  // unvisited, and its refetch must not duplicate them. A crawler over a
+  // non-empty CrawlDb must call this before crawling.
   Status ResumeFromDb();
 
   // Runs until the fetch budget is spent or the frontier stagnates.
@@ -223,11 +231,31 @@ class Crawler {
                          int64_t parent_oid, bool raise_if_known);
 
  private:
+  // One outlink's keys, computed by the fetch worker outside every lock.
+  struct OutLink {
+    uint64_t oid = 0;
+    int32_t sid = 0;
+    // Host root of the target when try_truncated_urls is on and it differs
+    // from the target, else empty. Same host, so same sid.
+    std::string root;
+    uint64_t root_oid = 0;
+  };
   // A page that cleared the fetch stage, waiting for classification.
   struct FetchedPage {
     FrontierEntry entry;
     webgraph::SimulatedWeb::FetchResult fetch;
     int64_t fetched_at_us = 0;  // the fetching worker's virtual time
+    uint64_t oid = 0;           // UrlOid(fetch.url)
+    int32_t sid = 0;            // ServerIdOf(fetch.url)
+    std::vector<OutLink> outlinks;  // parallel to fetch.outlink_urls
+  };
+  // What the crawler knows of a URL with a CRAWL row: the row's relevance
+  // column (estimate, or judged R once visited), its visited flag, and the
+  // citations seen so far by this crawler (Cho backlink ordering).
+  struct UrlState {
+    double relevance = 0;
+    int32_t backlinks = 0;
+    bool visited = false;
   };
 
   // The crawl loop at every thread count (one worker per thread): sharded
@@ -260,25 +288,39 @@ class Crawler {
   // Writes queued breaker transitions to the BREAKER table. Caller holds
   // state_mutex_.
   Status FlushBreakerState();
+  // Fills each page's oid, sid and outlink keys (no lock).
+  void ComputeLinkKeys(std::vector<FetchedPage>* pages) const;
+  // The link section: writes the LINK rows of every first-visited page of
+  // a batch under link_mutex_, before its state section.
+  Status RecordLinks(const std::vector<FetchedPage>& pages);
   // Records a classified batch under one state critical section.
   Status RecordBatch(std::vector<FetchedPage>* pages,
                      const std::vector<PageJudgment>& judgments);
+  // Locks `mu`, charging the wait to `lock`'s lock-wait counter.
+  std::unique_lock<std::mutex> TimedLock(std::mutex& mu, CrawlLock lock);
+  // Inserts a URL absent from CRAWL into CRAWL, the URL-state map and the
+  // frontier, and logs its admission (`aux` tells the discovery path).
+  // Caller holds state_mutex_.
+  Status AdmitUnknownUrl(std::string_view url, uint64_t oid, int32_t sid,
+                         double relevance, int32_t backlinks,
+                         int64_t parent_oid, int64_t at_us, int64_t aux);
   // Runs any distillation / PageRank refresh whose visit threshold has
   // been crossed. Caller holds state_mutex_.
   Status RunPeriodicBoosts();
   // Commits the current durable batch; every checkpoint_every_batches-th
   // commit is promoted to a full checkpoint so the WAL never holds more
-  // than one interval of commits. Caller holds state_mutex_.
+  // than one interval of commits. Caller holds state_mutex_; takes
+  // link_mutex_, so no LINK B+-tree is half-updated in the commit.
   Status CommitBatch();
 
-  // `at_us` is the visit's virtual time (stamps admit events).
-  Status ExpandLinks(const webgraph::SimulatedWeb::FetchResult& fetch,
-                     const PageJudgment& judgment, int64_t at_us);
+  // Admits or re-ranks a visited page's outlinks (and their host roots).
+  Status ExpandLinks(const FetchedPage& page, const PageJudgment& judgment);
   // Journals a non-owned link target into the sink, suppressing exports
   // the owner would no-op (same estimate or lower for raise-mode targets;
   // any repeat for admit-if-unknown targets). Caller holds state_mutex_.
   Status ExportRemoteLink(uint64_t src_oid, const std::string& dst_url,
                           double relevance, bool raise_if_known);
+  // Both read LINK, so both take link_mutex_ (caller holds state_mutex_).
   Status RunDistillationBoost();
   // Recomputes PageRank over LINK and pushes the scores into the frontier
   // (the Cho et al. perceived-prestige ordering).
@@ -303,11 +345,14 @@ class Crawler {
   std::vector<BreakerRecord> breaker_dirty_;
 
   std::unordered_map<int32_t, int32_t> server_fetches_;
+  // Every URL with a CRAWL row, kept in step with each CRAWL write the
+  // crawler makes (AddSeed, admissions, RecordVisit, RaiseRelevance), so
+  // expansion never reads CRAWL back. CrawlDb stays the durable store;
+  // ResumeFromDb rebuilds this map from it. Guarded by state_mutex_.
+  std::unordered_map<uint64_t, UrlState> url_state_;
   // Pages whose outlinks are already in LINK (revisits must not duplicate
-  // edges).
+  // edges). Guarded by link_mutex_.
   std::unordered_set<uint64_t> links_recorded_;
-  // Citations seen so far per unvisited page (Cho backlink ordering).
-  std::unordered_map<uint64_t, int32_t> backlink_counts_;
   // Export dedup (guarded by state_mutex_): best estimate already
   // journaled per raise-mode target, and admit-if-unknown targets already
   // journaled once. Purely an outbox-volume optimization — both are lost
@@ -338,13 +383,21 @@ class Crawler {
   // Set when a pipeline worker fails, so its peers stop instead of waiting
   // on budget slots that will never be released.
   std::atomic<bool> abort_{false};
-  // Guards db_, visits_, stats_, server/backlink/link bookkeeping and the
-  // periodic-boost thresholds.
-  // The frontier has per-shard locks, fetches need no lock (explicit
-  // attempt ordinals) and budget slots are atomic, so fetch workers meet
-  // here in the record section, and briefly after failed fetches or
-  // breaker re-parks and when idle.
+  // Guards the CRAWL, BREAKER and OUTBOX writes through db_, url_state_,
+  // visits_, stats_, server and export bookkeeping and the periodic-boost
+  // thresholds. The frontier has per-shard locks, fetches need no lock
+  // (explicit attempt ordinals) and budget slots are atomic, so fetch
+  // workers meet here in the record section, and briefly after failed
+  // fetches or breaker re-parks and when idle.
   std::mutex state_mutex_;
+  // Guards the LINK table and links_recorded_. A worker writes its batch's
+  // LINK rows under this lock alone, before it takes state_mutex_, so one
+  // worker's link section overlaps another's state section. Lock order is
+  // state_mutex_ → link_mutex_: the commit and the LINK readers
+  // (distillation, PageRank) take it inside the state section, so neither
+  // sees a half-applied LINK insert. Never take state_mutex_ while holding
+  // this.
+  std::mutex link_mutex_;
   // Signaled when budget or frontier state changes; idle workers wait.
   std::condition_variable work_cv_;
 };

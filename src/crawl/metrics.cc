@@ -17,7 +17,13 @@ StageMetrics::StageMetrics(obs::MetricsRegistry* registry) {
   fetch_micros_.Bind(stage("fetch"));
   classify_micros_.Bind(stage("classify"));
   expand_micros_.Bind(stage("expand"));
+  link_micros_.Bind(stage("link"));
   lock_wait_micros_.Bind(stage("lock_wait"));
+  auto lock_wait = [&](const char* name) {
+    return r->GetCounter("focus_lock_wait_micros_total", {{"lock", name}});
+  };
+  state_lock_wait_micros_.Bind(lock_wait("state"));
+  link_lock_wait_micros_.Bind(lock_wait("link"));
   batches_.Bind(r->GetCounter("focus_crawl_classify_batches_total"));
   batched_pages_.Bind(r->GetCounter("focus_crawl_classify_pages_total"));
   frontier_pops_.Bind(r->GetCounter("focus_crawl_frontier_pops_total"));
@@ -53,6 +59,9 @@ StageMetrics::StageMetrics(obs::MetricsRegistry* registry) {
              "sliding-window harvest-rate signal).");
   r->SetHelp("focus_crawl_stage_micros_total",
              "Wall microseconds spent inside each crawl pipeline stage.");
+  r->SetHelp("focus_lock_wait_micros_total",
+             "Wall microseconds crawl workers spent waiting for each "
+             "crawler lock.");
   r->SetHelp("focus_crawl_fetch_failures_total",
              "Failed fetch attempts by fault class.");
   r->SetHelp("focus_crawl_retries_total",
@@ -79,7 +88,10 @@ StageMetricsSnapshot StageMetrics::Raw() const {
   s.fetch_micros = fetch_micros_.Value();
   s.classify_micros = classify_micros_.Value();
   s.expand_micros = expand_micros_.Value();
+  s.link_micros = link_micros_.Value();
   s.lock_wait_micros = lock_wait_micros_.Value();
+  s.state_lock_wait_micros = state_lock_wait_micros_.Value();
+  s.link_lock_wait_micros = link_lock_wait_micros_.Value();
   s.batches = batches_.Value();
   s.batched_pages = batched_pages_.Value();
   s.frontier_pops = frontier_pops_.Value();
@@ -100,7 +112,10 @@ StageMetricsSnapshot StageMetrics::Snapshot() const {
   s.fetch_micros -= baseline_.fetch_micros;
   s.classify_micros -= baseline_.classify_micros;
   s.expand_micros -= baseline_.expand_micros;
+  s.link_micros -= baseline_.link_micros;
   s.lock_wait_micros -= baseline_.lock_wait_micros;
+  s.state_lock_wait_micros -= baseline_.state_lock_wait_micros;
+  s.link_lock_wait_micros -= baseline_.link_lock_wait_micros;
   s.batches -= baseline_.batches;
   s.batched_pages -= baseline_.batched_pages;
   s.frontier_pops -= baseline_.frontier_pops;

@@ -23,7 +23,11 @@ struct StageMetricsSnapshot {
   uint64_t fetch_micros = 0;      // wall time inside the fetch stage
   uint64_t classify_micros = 0;   // wall time inside the classify stage
   uint64_t expand_micros = 0;     // wall time recording visits + expanding
-  uint64_t lock_wait_micros = 0;  // time blocked on the crawl-state lock
+  uint64_t link_micros = 0;       // wall time writing LINK rows
+  // Time blocked on the crawler's locks: the sum over both, then each.
+  uint64_t lock_wait_micros = 0;
+  uint64_t state_lock_wait_micros = 0;
+  uint64_t link_lock_wait_micros = 0;
   uint64_t batches = 0;           // classify batches submitted
   uint64_t batched_pages = 0;     // pages across those batches
   uint64_t frontier_pops = 0;     // successful frontier pops
@@ -43,7 +47,7 @@ struct StageMetricsSnapshot {
 };
 
 // Per-stage counters for the concurrent crawl pipeline (fetch → classify →
-// expand), backed by registry counters (focus_crawl_stage_micros_total
+// link → expand), backed by registry counters (focus_crawl_stage_micros_total
 // {stage=...} and friends) so the same numbers appear in Prometheus/JSON
 // snapshots. Updates are single relaxed fetch_adds — fetch workers never
 // serialize on the crawl-state lock (or on each other) to record time.
@@ -61,7 +65,15 @@ class StageMetrics {
   void AddFetchMicros(uint64_t us) { fetch_micros_.Add(us); }
   void AddClassifyMicros(uint64_t us) { classify_micros_.Add(us); }
   void AddExpandMicros(uint64_t us) { expand_micros_.Add(us); }
-  void AddLockWaitMicros(uint64_t us) { lock_wait_micros_.Add(us); }
+  void AddLinkMicros(uint64_t us) { link_micros_.Add(us); }
+  // Charged to focus_lock_wait_micros_total{lock} and to the summed
+  // focus_crawl_stage_micros_total{stage="lock_wait"}.
+  void AddLockWaitMicros(CrawlLock lock, uint64_t us) {
+    lock_wait_micros_.Add(us);
+    (lock == CrawlLock::kState ? state_lock_wait_micros_
+                               : link_lock_wait_micros_)
+        .Add(us);
+  }
   void RecordBatch(uint64_t pages) {
     batches_.Add(1);
     batched_pages_.Add(pages);
@@ -137,7 +149,10 @@ class StageMetrics {
   Tally fetch_micros_;
   Tally classify_micros_;
   Tally expand_micros_;
+  Tally link_micros_;
   Tally lock_wait_micros_;
+  Tally state_lock_wait_micros_;
+  Tally link_lock_wait_micros_;
   Tally batches_;
   Tally batched_pages_;
   Tally frontier_pops_;

@@ -50,8 +50,11 @@ std::string FormatStageMetrics(const StageMetricsSnapshot& s) {
   std::string out;
   out += StrCat("stage time   fetch=", Ms(s.fetch_micros),
                 " classify=", Ms(s.classify_micros),
+                " link=", Ms(s.link_micros),
                 " expand=", Ms(s.expand_micros),
-                " lock_wait=", Ms(s.lock_wait_micros), "\n");
+                " lock_wait=", Ms(s.lock_wait_micros),
+                " (state=", Ms(s.state_lock_wait_micros),
+                " link=", Ms(s.link_lock_wait_micros), ")\n");
   out += StrCat("classify     batches=", s.batches,
                 " pages=", s.batched_pages,
                 " occupancy=", Fixed(s.AvgBatchOccupancy(), 2), "\n");

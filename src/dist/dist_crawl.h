@@ -117,7 +117,8 @@ using ShardStoreProvider =
 struct DistCrawlOptions {
   int num_shards = 1;
   // Per-shard crawler configuration. The distributed hooks (link_sink,
-  // interrupt, event_log, metrics_registry) are overwritten per shard.
+  // event_log, metrics_registry) are overwritten per shard, and so is
+  // interrupt when a fault_plan is set.
   crawl::CrawlerOptions crawler;
   // Buffer-pool frames per shard.
   size_t buffer_frames = 4096;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -420,6 +421,109 @@ TEST(CrawlPipelineTest, HostileCrawlVisitsSamePagesAtOneAndEightThreads) {
     ASSERT_NE(it, pooled.end()) << "oid " << oid << " missing from pooled";
     EXPECT_DOUBLE_EQ(relevance, it->second) << "oid " << oid;
   }
+}
+
+// FNV-1a over the fields of a row, one field at a time, so the digest does
+// not depend on struct padding. Relevances are rounded to 1e-9 before
+// hashing so a last-bit difference in libm cannot flip the pin.
+class RowDigest {
+ public:
+  RowDigest& Add(int64_t v) {
+    for (int i = 0; i < 8; ++i) Byte(static_cast<uint8_t>(v >> (8 * i)));
+    return *this;
+  }
+  RowDigest& Add(double v) {
+    return Add(static_cast<int64_t>(std::llround(v * 1e9)));
+  }
+  RowDigest& Add(const std::string& s) {
+    Add(static_cast<int64_t>(s.size()));
+    for (char c : s) Byte(static_cast<uint8_t>(c));
+    return *this;
+  }
+  uint64_t value() const { return h_; }
+
+ private:
+  void Byte(uint8_t b) {
+    h_ ^= b;
+    h_ *= 1099511628211ull;
+  }
+  uint64_t h_ = 14695981039346656037ull;
+};
+
+// Order-insensitive digest of a table: each row is hashed on its own, the
+// row digests are sorted and the sorted list is hashed again.
+uint64_t TableDigest(const sql::Table* table) {
+  std::vector<uint64_t> rows;
+  auto it = table->Scan();
+  storage::Rid rid;
+  sql::Tuple row;
+  while (it.Next(&rid, &row)) {
+    RowDigest d;
+    for (int c = 0; c < row.size(); ++c) {
+      const sql::Value& v = row.Get(c);
+      switch (v.type()) {
+        case sql::TypeId::kInt32:
+        case sql::TypeId::kInt64:
+          d.Add(v.AsIntAny());
+          break;
+        case sql::TypeId::kDouble:
+          d.Add(v.AsDouble());
+          break;
+        case sql::TypeId::kString:
+          d.Add(v.AsString());
+          break;
+      }
+    }
+    rows.push_back(d.value());
+  }
+  EXPECT_TRUE(it.status().ok()) << it.status();
+  std::sort(rows.begin(), rows.end());
+  RowDigest all;
+  for (uint64_t r : rows) all.Add(static_cast<int64_t>(r));
+  return all.value();
+}
+
+// Digest of a one-thread crawl: its (url, relevance, best_leaf) visit
+// sequence plus its CRAWL and LINK row multisets.
+uint64_t OneThreadCrawlDigest(crawl::PriorityPolicy policy) {
+  auto system = TrainedSystem(53);
+  Cid cycling = system->tax().FindByName("cycling").value();
+  CrawlerOptions copts;
+  copts.max_fetches = 400;
+  copts.num_threads = 1;
+  copts.policy = policy;
+  copts.expansion = crawl::ExpansionRule::kSoftFocus;
+  copts.expand_backlinks = true;
+  copts.try_truncated_urls = true;
+  copts.distill_every = 60;
+  auto session =
+      system->NewCrawl(system->web().KeywordSeeds(cycling, 6), copts)
+          .TakeValue();
+  EXPECT_TRUE(session->crawler().Crawl().ok());
+  EXPECT_EQ(session->crawler().visits().size(), 400u);
+  EXPECT_GT(session->crawler().stats().distill_rounds, 0u);
+  RowDigest d;
+  for (const crawl::Visit& v : session->crawler().visits()) {
+    d.Add(v.url).Add(v.relevance).Add(static_cast<int64_t>(v.best_leaf));
+  }
+  d.Add(static_cast<int64_t>(TableDigest(session->db().crawl_table())));
+  d.Add(static_cast<int64_t>(TableDigest(session->db().link_table())));
+  return d.value();
+}
+
+TEST(CrawlPipelineTest, OneThreadVisitOrderIsPinned) {
+  // A one-thread crawl is deterministic: which page is fetched next
+  // depends on every estimate, visited flag and backlink count the crawler
+  // keeps for known URLs. The 1≡8 identity tests compare two crawls that
+  // share that bookkeeping, so they cannot see it drift from CRAWL; these
+  // digests, taken from the crawler before it kept its own URL-state map,
+  // can. Soft focus, backlink and host-root expansion and periodic
+  // distillation are all on, so every path that reads or raises a stored
+  // estimate runs.
+  EXPECT_EQ(OneThreadCrawlDigest(crawl::PriorityPolicy::kAggressiveDiscovery),
+            0xa8baab005ea8f000ull);
+  EXPECT_EQ(OneThreadCrawlDigest(crawl::PriorityPolicy::kBacklinkCount),
+            0x4e19a986252f7fceull);
 }
 
 TEST(CrawlPipelineTest, BatchSizeOneStillCompletes) {

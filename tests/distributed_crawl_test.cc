@@ -470,13 +470,24 @@ TEST(DistributedCrawlTest, ExchangeCrashMatrixDeliversExactlyOnce) {
     int restarts = 0;
   };
 
+  // The ops of the first round's delivery phase: (last op before it,
+  // last op of it]. Crawl workers poll the interrupt hook before every
+  // batch, so the hook sees the op counter on both sides of the phase:
+  // polls before any delivery bound the window from below, the first
+  // polls of the next round from above.
+  struct DeliveryWindow {
+    std::mutex mu;
+    uint64_t lo = 0;
+    uint64_t hi = std::numeric_limits<uint64_t>::max();
+  };
+
   // One complete two-shard crawl over plan-decorated memory devices. The
   // plan is armed only around RunToFixpoint, so every crash point lands
   // in the supervised region; a rebooting shard gets fresh decorators
   // over the same surviving bytes and a disarmed plan (one power cut per
   // pass — the supervisor's recovery itself must then run clean).
-  auto run = [&](uint64_t crash_at, uint64_t* total_ops,
-                 RunOutcome* out) -> Status {
+  auto run = [&](uint64_t crash_at, uint64_t* total_ops, RunOutcome* out,
+                 DeliveryWindow* window = nullptr) -> Status {
     storage::MemDiskManager data[kShards], log[kShards];
     std::deque<storage::CrashFaultDiskManager> decorators;
     DistCrawlOptions dopts;
@@ -486,6 +497,22 @@ TEST(DistributedCrawlTest, ExchangeCrashMatrixDeliversExactlyOnce) {
     dopts.crawler.checkpoint_every_batches = 4;
     // One page per durable batch keeps the crash points dense.
     dopts.crawler.classify_batch_size = 1;
+    // Set once the supervisor exists; the hook runs only inside
+    // RunToFixpoint's crawl phases, after every earlier delivery phase
+    // has joined.
+    DistCrawl* live = nullptr;
+    if (window != nullptr) {
+      dopts.crawler.interrupt = [&live, &plan, window](int64_t) {
+        const uint64_t op = plan.op_count.load();
+        std::lock_guard<std::mutex> lock(window->mu);
+        if (live->exchange_stats().delivered == 0) {
+          window->lo = std::max(window->lo, op);
+        } else {
+          window->hi = std::min(window->hi, op);
+        }
+        return Status::OK();
+      };
+    }
     dopts.store_provider = [&](int s, int boot) -> Result<ShardDevices> {
       if (boot > 0) plan.Reset(kNever);
       decorators.emplace_back(&data[s], &plan);
@@ -496,6 +523,7 @@ TEST(DistributedCrawlTest, ExchangeCrashMatrixDeliversExactlyOnce) {
     plan.Reset(kNever);
     FOCUS_ASSIGN_OR_RETURN(std::unique_ptr<DistCrawl> dc,
                            DistCrawl::Create(&web, &evaluator, dopts));
+    live = dc.get();
     FOCUS_RETURN_IF_ERROR(dc->AddSeed(web.page(0).url));
     plan.Reset(crash_at);
     FOCUS_RETURN_IF_ERROR(dc->RunToFixpoint());
@@ -521,23 +549,37 @@ TEST(DistributedCrawlTest, ExchangeCrashMatrixDeliversExactlyOnce) {
     return Status::OK();
   };
 
-  // Golden pass: no crash, count the op stream.
+  // Golden pass: no crash, count the op stream and find the first
+  // round's delivery phase in it.
   RunOutcome golden;
   uint64_t total_ops = 0;
+  DeliveryWindow window;
   {
-    Status s = run(kNever, &total_ops, &golden);
+    Status s = run(kNever, &total_ops, &golden, &window);
     ASSERT_TRUE(s.ok()) << s.ToString();
   }
   ASSERT_GT(golden.visited.size(), 100u);
   ASSERT_GT(golden.delivered, 0u) << "no cross-shard traffic to protect";
   ASSERT_EQ(golden.restarts, 0);
   ASSERT_GT(total_ops, 500u);
+  ASSERT_LT(window.lo, window.hi);
+  ASSERT_LE(window.hi, total_ops);
 
   // Sweep. The stride honors FOCUS_WAL_CRASH_STRIDE but also caps the
-  // pass count, since every pass is a full crawl-to-exhaustion.
+  // pass count, since every pass is a full crawl-to-exhaustion. On top of
+  // the strided points the first delivery phase is walked op by op (at
+  // most 64 passes), so crash points land inside delivery commits at any
+  // stride.
   uint64_t stride = std::max(CrashStride(), total_ops / 160);
+  std::set<uint64_t> crash_points;
+  for (uint64_t k = 1; k < total_ops; k += stride) crash_points.insert(k);
+  const uint64_t window_step =
+      std::max<uint64_t>(1, (window.hi - window.lo + 63) / 64);
+  for (uint64_t k = window.lo + 1; k <= window.hi; k += window_step) {
+    crash_points.insert(k);
+  }
   uint64_t swept = 0, crashed_passes = 0, replays = 0;
-  for (uint64_t k = 1; k < total_ops; k += stride) {
+  for (uint64_t k : crash_points) {
     SCOPED_TRACE(testing::Message() << "crash at op " << k << " of "
                                     << total_ops);
     RunOutcome outcome;

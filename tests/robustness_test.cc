@@ -6,6 +6,7 @@
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "core/focus.h"
 #include "core/sample_taxonomy.h"
@@ -318,18 +319,29 @@ std::unordered_map<uint64_t, double> VisitedRows(crawl::CrawlDb* db) {
   return out;
 }
 
-TEST(RobustnessTest, StorageCrashMidCommitResumesAndConverges) {
-  // A crawl over a file-backed WAL store, killed by a storage-level power
-  // cut inside a batch commit, must recover to a commit boundary and — a
-  // fresh crawler resuming from the recovered tables — converge to the
-  // same final state as a crawl that was never interrupted. This is the
-  // §3.1 crash claim ("all crawlers crash") carried down to the disk.
+FocusOptions StorageCrashOptions() {
   FocusOptions options = Options(37);
   options.web.pages_per_topic = 120;
   options.web.background_pages = 800;
   options.web.background_servers = 40;
   options.web.fetch_failure_prob = 0.10;
   options.web.faults.permanent_prob = 0.02;
+  return options;
+}
+
+// A crawl to exhaustion at `num_threads` over a file-backed WAL store,
+// killed by a storage-level power cut at each of `crash_fractions` of its
+// op stream, must recover to a commit boundary and — a fresh crawler
+// resuming from the recovered tables — converge to the same final state
+// as a crawl that was never interrupted: the same visited rows and
+// relevances, and the same CRAWL and LINK row counts (no lost or
+// duplicated row).
+void ExpectStorageCrashConverges(int num_threads,
+                                 const std::vector<double>& crash_fractions) {
+  const FocusOptions options = StorageCrashOptions();
+  CrawlerOptions copts;
+  copts.max_fetches = 20000;
+  copts.num_threads = num_threads;
 
   // Reference: uninterrupted in-memory crawl to exhaustion. The storage
   // backend is transparent, so its final tables are the target state.
@@ -338,8 +350,6 @@ TEST(RobustnessTest, StorageCrashMidCommitResumesAndConverges) {
   {
     auto system = TrainedSystem(options);
     Cid cycling = system->tax().FindByName("cycling").value();
-    CrawlerOptions copts;
-    copts.max_fetches = 20000;
     auto session =
         system->NewCrawl(system->web().KeywordSeeds(cycling, 8), copts)
             .TakeValue();
@@ -351,11 +361,13 @@ TEST(RobustnessTest, StorageCrashMidCommitResumesAndConverges) {
   }
   ASSERT_GT(full_visited.size(), 50u);
 
-  // One WAL-backed crawl attempt over `plan`-decorated file devices.
-  // Deterministic per seed, so a counting pass sizes the op stream and a
-  // second pass crashes at ~60% of it — inside some batch's commit, since
-  // nearly every device op belongs to one.
-  std::string base = ::testing::TempDir() + "robustness_wal";
+  // One WAL-backed crawl attempt over `plan`-decorated file devices. A
+  // counting pass sizes the op stream; crash passes then cut power at a
+  // fraction of it — inside some batch's commit, since nearly every device
+  // op belongs to one. Multi-threaded op streams vary a little run to run,
+  // so the fractions stay clear of the end.
+  std::string base =
+      StrCat(::testing::TempDir(), "robustness_wal_t", num_threads);
   storage::CrashPlan plan;
   auto crawl_attempt = [&](const std::string& tag) -> Status {
     auto data =
@@ -375,8 +387,6 @@ TEST(RobustnessTest, StorageCrashMidCommitResumesAndConverges) {
     FOCUS_ASSIGN_OR_RETURN(crawl::CrawlDb db,
                            crawl::CrawlDb::Open(&catalog, wal.get()));
     crawl::ClassifierEvaluator evaluator(&system->classifier());
-    CrawlerOptions copts;
-    copts.max_fetches = 20000;
     crawl::Crawler crawler(&system->web(), &evaluator, &db, &catalog,
                            copts);
     for (const std::string& url :
@@ -390,53 +400,71 @@ TEST(RobustnessTest, StorageCrashMidCommitResumesAndConverges) {
   uint64_t total_ops = plan.op_count.load();
   ASSERT_GT(total_ops, 100u);
 
-  plan.Reset(total_ops * 6 / 10);
-  Status crashed = crawl_attempt("_crash");
-  ASSERT_FALSE(crashed.ok());
-  ASSERT_NE(crashed.message().find(storage::kCrashMessage),
-            std::string::npos)
-      << crashed.ToString();
+  for (double fraction : crash_fractions) {
+    SCOPED_TRACE(testing::Message() << num_threads << " threads, crash at "
+                                    << fraction << " of " << total_ops
+                                    << " ops");
+    plan.Reset(static_cast<uint64_t>(total_ops * fraction));
+    Status crashed = crawl_attempt("_crash");
+    ASSERT_FALSE(crashed.ok());
+    ASSERT_NE(crashed.message().find(storage::kCrashMessage),
+              std::string::npos)
+        << crashed.ToString();
 
-  // Recovery: reopen the surviving files, replay the log, resume with a
-  // brand-new crawler, and run to exhaustion.
-  storage::FileDiskManager::Options attach;
-  attach.truncate = false;
-  auto data =
-      storage::FileDiskManager::Open(base + "_crash.db", attach)
-          .TakeValue();
-  auto log =
-      storage::FileDiskManager::Open(base + "_crash.wal", attach)
-          .TakeValue();
-  auto wal = storage::WalDiskManager::Open(data.get(), log.get())
-                 .TakeValue();
-  storage::BufferPool pool(wal.get(), 4096);
-  sql::Catalog catalog(&pool);
-  auto db = crawl::CrawlDb::Open(&catalog, wal.get()).TakeValue();
-  std::unordered_map<uint64_t, double> at_recovery = VisitedRows(&db);
-  ASSERT_LT(at_recovery.size(), full_visited.size());  // work was lost
+    // Recovery: reopen the surviving files, replay the log, resume with a
+    // brand-new crawler, and run to exhaustion.
+    storage::FileDiskManager::Options attach;
+    attach.truncate = false;
+    auto data =
+        storage::FileDiskManager::Open(base + "_crash.db", attach)
+            .TakeValue();
+    auto log =
+        storage::FileDiskManager::Open(base + "_crash.wal", attach)
+            .TakeValue();
+    auto wal = storage::WalDiskManager::Open(data.get(), log.get())
+                   .TakeValue();
+    storage::BufferPool pool(wal.get(), 4096);
+    sql::Catalog catalog(&pool);
+    auto db = crawl::CrawlDb::Open(&catalog, wal.get()).TakeValue();
+    std::unordered_map<uint64_t, double> at_recovery = VisitedRows(&db);
+    ASSERT_LT(at_recovery.size(), full_visited.size());  // work was lost
 
-  auto system = TrainedSystem(options);
-  crawl::ClassifierEvaluator evaluator(&system->classifier());
-  CrawlerOptions copts;
-  copts.max_fetches = 20000;
-  crawl::Crawler resumed(&system->web(), &evaluator, &db, &catalog,
-                         copts);
-  ASSERT_TRUE(resumed.ResumeFromDb().ok());
-  ASSERT_TRUE(resumed.Crawl().ok());
-  EXPECT_TRUE(resumed.stats().stagnated);
-  EXPECT_GT(resumed.visits().size(), 0u);
+    auto system = TrainedSystem(options);
+    crawl::ClassifierEvaluator evaluator(&system->classifier());
+    crawl::Crawler resumed(&system->web(), &evaluator, &db, &catalog,
+                           copts);
+    ASSERT_TRUE(resumed.ResumeFromDb().ok());
+    ASSERT_TRUE(resumed.Crawl().ok());
+    EXPECT_TRUE(resumed.stats().stagnated);
+    EXPECT_GT(resumed.visits().size(), 0u);
 
-  // Batch atomicity at the storage layer means the recovered store was a
-  // consistent prefix; the resumed crawl must therefore converge exactly.
-  std::unordered_map<uint64_t, double> final_visited = VisitedRows(&db);
-  ASSERT_EQ(final_visited.size(), full_visited.size());
-  for (const auto& [oid, relevance] : full_visited) {
-    auto it = final_visited.find(oid);
-    ASSERT_NE(it, final_visited.end()) << "oid " << oid << " missing";
-    EXPECT_DOUBLE_EQ(relevance, it->second) << "oid " << oid;
+    // Batch atomicity at the storage layer means the recovered store was
+    // a consistent prefix; the resumed crawl must therefore converge
+    // exactly.
+    std::unordered_map<uint64_t, double> final_visited = VisitedRows(&db);
+    ASSERT_EQ(final_visited.size(), full_visited.size());
+    for (const auto& [oid, relevance] : full_visited) {
+      auto it = final_visited.find(oid);
+      ASSERT_NE(it, final_visited.end()) << "oid " << oid << " missing";
+      EXPECT_DOUBLE_EQ(relevance, it->second) << "oid " << oid;
+    }
+    EXPECT_EQ(db.num_urls(), full_urls);
+    EXPECT_EQ(db.num_links(), full_links);
   }
-  EXPECT_EQ(db.num_urls(), full_urls);
-  EXPECT_EQ(db.num_links(), full_links);
+}
+
+TEST(RobustnessTest, StorageCrashMidCommitResumesAndConverges) {
+  // The §3.1 crash claim ("all crawlers crash") carried down to the disk,
+  // for the one-worker crawl.
+  ExpectStorageCrashConverges(/*num_threads=*/1, {0.6});
+}
+
+TEST(RobustnessTest, FourThreadStorageCrashMidCommitConverges) {
+  // Four workers write LINK rows under their own lock before their batch's
+  // visits are recorded, so a commit can carry the edges of pages that are
+  // not yet visited. Resume must keep those edges (no refetch duplicates
+  // them) and still converge, wherever the power cut lands.
+  ExpectStorageCrashConverges(/*num_threads=*/4, {0.2, 0.45, 0.65});
 }
 
 TEST(RobustnessTest, CircuitBreakerReducesWastedWorkOnDeadServers) {
