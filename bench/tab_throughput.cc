@@ -11,8 +11,6 @@
 //
 // Flags (for the CI bench-smoke job):
 //   --budget N           pages to fetch per run (default 2000)
-//   --threads LIST       comma-separated crawl thread counts of the sweep
-//                        (default 1,8)
 //   --tiny               shrink the simulated web for fast smoke runs
 //   --json PATH          write the result rows as JSON (schema 2)
 //   --metrics-json PATH  dump the full metrics-registry snapshot as JSON
@@ -81,7 +79,6 @@ namespace {
 struct Flags {
   int budget = 2000;
   bool tiny = false;
-  std::vector<int> threads = {1, 8};  // the thread sweep's rows
   int shards = 0;  // 0 = the thread sweep, not the supervisor
   std::vector<std::pair<int, double>> kills;  // (shard, virtual seconds)
   double fail_prob = 0;
@@ -125,18 +122,6 @@ Flags ParseFlags(int argc, char** argv) {
       flags.tiny = true;
     } else if (std::strcmp(argv[i], "--budget") == 0 && i + 1 < argc) {
       flags.budget = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      flags.threads.clear();
-      for (const char* p = argv[++i]; *p != '\0';) {
-        char* end = nullptr;
-        long n = std::strtol(p, &end, 10);
-        if (end == p || n < 1 || n > 64) {
-          std::fprintf(stderr, "--threads wants a list like 1,4,8\n");
-          std::exit(2);
-        }
-        flags.threads.push_back(static_cast<int>(n));
-        p = *end == ',' ? end + 1 : end;
-      }
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       flags.json_path = argv[++i];
     } else if (std::strcmp(argv[i], "--metrics-json") == 0 && i + 1 < argc) {
@@ -174,8 +159,7 @@ Flags ParseFlags(int argc, char** argv) {
       flags.kills.emplace_back(shard, at_s);
     } else {
       std::fprintf(stderr,
-                   "usage: tab_throughput [--budget N] [--threads LIST] "
-                   "[--tiny] "
+                   "usage: tab_throughput [--budget N] [--tiny] "
                    "[--json PATH] [--metrics-json PATH] "
                    "[--metrics-text PATH] [--trace PATH] "
                    "[--events PATH] [--admin-port N] "
@@ -357,7 +341,7 @@ int Run(const Flags& flags) {
   // Sessions stay alive past the loop so their buffer-pool collectors are
   // still registered when the registry snapshot is taken below.
   std::vector<std::unique_ptr<core::CrawlSession>> sessions;
-  for (int threads : flags.threads) {
+  for (int threads : {1, 4, 8}) {
     crawl::CrawlerOptions copts;
     copts.max_fetches = flags.budget;
     copts.num_threads = threads;

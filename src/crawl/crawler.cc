@@ -76,8 +76,7 @@ Status Crawler::AddSeed(std::string_view url) {
 }
 
 Status Crawler::CommitBatch() {
-  std::unique_lock<std::mutex> link_lock =
-      TimedLock(link_mutex_, CrawlLock::kLink);
+  std::lock_guard<std::mutex> link_lock(link_mutex_);
   if (options_.checkpoint_every_batches > 0 &&
       ++commits_since_checkpoint_ >= options_.checkpoint_every_batches) {
     commits_since_checkpoint_ = 0;
@@ -164,8 +163,7 @@ Status Crawler::RefreshPageRankPriorities() {
     return it->second;
   };
   {
-    std::unique_lock<std::mutex> link_lock =
-        TimedLock(link_mutex_, CrawlLock::kLink);
+    std::lock_guard<std::mutex> link_lock(link_mutex_);
     auto it = db_->link_table()->Scan();
     storage::Rid rid;
     sql::Tuple row;
@@ -318,8 +316,7 @@ Status Crawler::AdmitRemoteLink(std::string_view url, double relevance,
 
 Status Crawler::RunDistillationBoost() {
   FOCUS_SPAN("crawl.distill_boost");
-  std::unique_lock<std::mutex> link_lock =
-      TimedLock(link_mutex_, CrawlLock::kLink);
+  std::lock_guard<std::mutex> link_lock(link_mutex_);
   if (!distill_tables_ready_) {
     distill_tables_.link = db_->link_table();
     distill_tables_.crawl = db_->crawl_table();

@@ -296,7 +296,9 @@ class Crawler {
   // Records a classified batch under one state critical section.
   Status RecordBatch(std::vector<FetchedPage>* pages,
                      const std::vector<PageJudgment>& judgments);
-  // Locks `mu`, charging the wait to `lock`'s lock-wait counter.
+  // Locks `mu`, charging the wait to `lock`'s lock-wait counter. Only for
+  // a worker that holds no crawler lock: a wait nested in the record
+  // section is that section's time, so the stage counters stay disjoint.
   std::unique_lock<std::mutex> TimedLock(std::mutex& mu, CrawlLock lock);
   // Inserts a URL absent from CRAWL into CRAWL, the URL-state map and the
   // frontier, and logs its admission (`aux` tells the discovery path).
