@@ -1,6 +1,7 @@
 #include "crawl/crawl_db.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "util/hash.h"
 #include "util/string_util.h"
@@ -204,12 +205,22 @@ Result<std::vector<std::vector<ExchangeLink>>> CrawlDb::ReadOutbox(
   std::vector<std::vector<ExchangeLink>> out(after_seq.size());
   auto it = outbox_->Scan();
   storage::Rid rid;
-  Tuple row;
-  while (it.Next(&rid, &row)) {
-    int32_t dst = row.Get(1).AsInt32();
+  std::string_view record;
+  while (it.NextRecord(&rid, &record)) {
+    // seq (int64) and dst_shard (int32) lead the record, so rows already
+    // delivered are skipped without decoding the rest.
+    int64_t seq;
+    int32_t dst;
+    if (record.size() < sizeof(seq) + sizeof(dst)) {
+      return Status::OutOfRange(
+          StrCat("OUTBOX record of ", record.size(), " bytes"));
+    }
+    std::memcpy(&seq, record.data(), sizeof(seq));
+    std::memcpy(&dst, record.data() + sizeof(seq), sizeof(dst));
     if (dst < 0 || static_cast<size_t>(dst) >= after_seq.size()) continue;
-    int64_t seq = row.Get(0).AsInt64();
     if (seq <= after_seq[static_cast<size_t>(dst)]) continue;
+    FOCUS_ASSIGN_OR_RETURN(Tuple row,
+                           Tuple::Deserialize(outbox_->schema(), record));
     ExchangeLink msg;
     msg.seq = seq;
     msg.dst_shard = dst;
@@ -219,6 +230,7 @@ Result<std::vector<std::vector<ExchangeLink>>> CrawlDb::ReadOutbox(
     msg.raise_if_known = row.Get(5).AsInt32() != 0;
     out[static_cast<size_t>(dst)].push_back(std::move(msg));
   }
+  // The scan ends unpinned; an early return unpins in the destructor.
   FOCUS_RETURN_IF_ERROR(it.status());
   for (std::vector<ExchangeLink>& bucket : out) {
     std::sort(bucket.begin(), bucket.end(),

@@ -76,6 +76,8 @@ Status Crawler::AddSeed(std::string_view url) {
 }
 
 Status Crawler::CommitBatch() {
+  // Without a WAL, Commit and Checkpoint do nothing: skip the link lock.
+  if (!db_->has_wal()) return Status::OK();
   std::lock_guard<std::mutex> link_lock(link_mutex_);
   if (options_.checkpoint_every_batches > 0 &&
       ++commits_since_checkpoint_ >= options_.checkpoint_every_batches) {
@@ -178,9 +180,10 @@ Status Crawler::RefreshPageRankPriorities() {
   for (const FrontierEntry& entry : frontier_.Snapshot()) {
     auto it = node_index.find(entry.oid);
     double score = it == node_index.end() ? 0.0 : rank[it->second];
-    frontier_.UpdateIfPresent(entry.oid, [score](FrontierEntry* e) {
-      e->hub_score = score;
-    });
+    frontier_.UpdateIfPresent(ServerIdOf(entry.url), entry.oid,
+                              [score](FrontierEntry* e) {
+                                e->hub_score = score;
+                              });
   }
   return Status::OK();
 }
@@ -258,7 +261,7 @@ Status Crawler::ExpandLinks(const FetchedPage& page,
       state.relevance = estimate;
     }
     const int32_t load = server_fetches_[link.sid];
-    frontier_.UpdateIfPresent(link.oid, [&](FrontierEntry* e) {
+    frontier_.UpdateIfPresent(link.sid, link.oid, [&](FrontierEntry* e) {
       e->relevance = std::max(e->relevance, estimate);
       e->serverload = load;
       e->backlinks = backlinks;
@@ -292,9 +295,10 @@ Status Crawler::AdmitRemoteLink(std::string_view url, double relevance,
                                 int64_t parent_oid, bool raise_if_known) {
   std::lock_guard<std::mutex> lock(state_mutex_);
   uint64_t oid = UrlOid(url);
+  int32_t sid = ServerIdOf(url);
   auto known = url_state_.find(oid);
   if (known == url_state_.end()) {
-    return AdmitUnknownUrl(url, oid, ServerIdOf(url), relevance,
+    return AdmitUnknownUrl(url, oid, sid, relevance,
                            /*backlinks=*/1, parent_oid, clock_.NowMicros(),
                            /*aux=*/3);
   }
@@ -307,7 +311,7 @@ Status Crawler::AdmitRemoteLink(std::string_view url, double relevance,
     FOCUS_RETURN_IF_ERROR(db_->RaiseRelevance(oid, relevance));
     state.relevance = relevance;
   }
-  frontier_.UpdateIfPresent(oid, [&](FrontierEntry* e) {
+  frontier_.UpdateIfPresent(sid, oid, [&](FrontierEntry* e) {
     e->relevance = std::max(e->relevance, relevance);
     e->backlinks = backlinks;
   });
@@ -357,10 +361,13 @@ Status Crawler::RunDistillationBoost() {
     for (const auto& rid : rids) {
       FOCUS_RETURN_IF_ERROR(link->Get(rid, &row));
       uint64_t dst_oid = static_cast<uint64_t>(row.Get(2).AsInt64());
-      bool boosted = frontier_.UpdateIfPresent(dst_oid, [&](FrontierEntry* e) {
-        e->relevance = std::max(e->relevance, options_.hub_boost_relevance);
-        e->hub_score = score;
-      });
+      int32_t dst_sid = row.Get(3).AsInt32();
+      bool boosted =
+          frontier_.UpdateIfPresent(dst_sid, dst_oid, [&](FrontierEntry* e) {
+            e->relevance =
+                std::max(e->relevance, options_.hub_boost_relevance);
+            e->hub_score = score;
+          });
       if (!boosted) continue;
       auto known = url_state_.find(dst_oid);
       if (known == url_state_.end() || known->second.visited ||

@@ -311,8 +311,9 @@ class Crawler {
   Status RunPeriodicBoosts();
   // Commits the current durable batch; every checkpoint_every_batches-th
   // commit is promoted to a full checkpoint so the WAL never holds more
-  // than one interval of commits. Caller holds state_mutex_; takes
-  // link_mutex_, so no LINK B+-tree is half-updated in the commit.
+  // than one interval of commits. Caller holds state_mutex_. With a WAL it
+  // takes link_mutex_, so no LINK B+-tree is half-updated in the commit;
+  // without one the commit does nothing and takes no lock.
   Status CommitBatch();
 
   // Admits or re-ranks a visited page's outlinks (and their host roots).
@@ -395,10 +396,10 @@ class Crawler {
   // Guards the LINK table and links_recorded_. A worker writes its batch's
   // LINK rows under this lock alone, before it takes state_mutex_, so one
   // worker's link section overlaps another's state section. Lock order is
-  // state_mutex_ → link_mutex_: the commit and the LINK readers
-  // (distillation, PageRank) take it inside the state section, so neither
-  // sees a half-applied LINK insert. Never take state_mutex_ while holding
-  // this.
+  // state_mutex_ → link_mutex_: the WAL commit (only when the CrawlDb has
+  // a WAL) and the LINK readers (distillation, PageRank) take it inside
+  // the state section, so neither sees a half-applied LINK insert. Never
+  // take state_mutex_ while holding this.
   std::mutex link_mutex_;
   // Signaled when budget or frontier state changes; idle workers wait.
   std::condition_variable work_cv_;

@@ -211,8 +211,7 @@ ShardedFrontier::ShardedFrontier(PriorityPolicy policy, int num_shards) {
 }
 
 int ShardedFrontier::ShardOf(std::string_view url) const {
-  uint32_t sid = static_cast<uint32_t>(ServerIdOf(url));
-  return static_cast<int>(sid % shards_.size());
+  return ShardOfServer(ServerIdOf(url));
 }
 
 void ShardedFrontier::AddOrUpdate(const FrontierEntry& entry) {

@@ -195,23 +195,22 @@ class ShardedFrontier {
   void Erase(uint64_t oid);
   bool Contains(uint64_t oid) const;
   // Applies `update(FrontierEntry*)` to the live entry for `oid` and
-  // re-ranks it, under the entry's shard lock. Returns false, inserting
-  // nothing, when `oid` is not in the frontier. Entries move under
-  // concurrent pops, so a read followed by a separate AddOrUpdate could
-  // re-insert an entry another worker popped in between, and the page
-  // would be fetched twice.
+  // re-ranks it, under the entry's shard lock. `sid` is the entry URL's
+  // ServerIdOf, which fixes its shard, so only that shard is locked and
+  // probed. Returns false, inserting nothing, when `oid` is not in the
+  // frontier. Entries move under concurrent pops, so a read followed by a
+  // separate AddOrUpdate could re-insert an entry another worker popped in
+  // between, and the page would be fetched twice.
   template <typename Update>
-  bool UpdateIfPresent(uint64_t oid, Update&& update) {
-    for (auto& shard : shards_) {
-      std::lock_guard<std::mutex> lock(shard->mu);
-      if (const FrontierEntry* e = shard->frontier.Peek(oid); e != nullptr) {
-        FrontierEntry updated = *e;
-        update(&updated);
-        shard->frontier.AddOrUpdate(updated);
-        return true;
-      }
-    }
-    return false;
+  bool UpdateIfPresent(int32_t sid, uint64_t oid, Update&& update) {
+    Shard& shard = *shards_[ShardOfServer(sid)];
+    std::lock_guard<std::mutex> lock(shard.mu);
+    const FrontierEntry* e = shard.frontier.Peek(oid);
+    if (e == nullptr) return false;
+    FrontierEntry updated = *e;
+    update(&updated);
+    shard.frontier.AddOrUpdate(updated);
+    return true;
   }
 
   // Copies of every live entry across all shards.
@@ -225,6 +224,10 @@ class ShardedFrontier {
   bool empty() const { return size() == 0; }
   int num_shards() const { return static_cast<int>(shards_.size()); }
   int ShardOf(std::string_view url) const;
+  // The shard of every URL whose ServerIdOf is `sid`.
+  int ShardOfServer(int32_t sid) const {
+    return static_cast<int>(static_cast<uint32_t>(sid) % shards_.size());
+  }
 
   // Attaches the provenance event log to every shard (see
   // Frontier::SetEventLog).

@@ -1,6 +1,9 @@
 #include "sql/exec/batch.h"
 
+#include <cstring>
+
 #include "util/logging.h"
+#include "util/string_util.h"
 
 namespace focus::sql {
 
@@ -239,6 +242,88 @@ int CompareRowsOnKeys(const std::vector<ColumnPtr>& cols, size_t a, size_t b,
     if (c != 0) return key.descending ? -c : c;
   }
   return 0;
+}
+
+RecordDecoder::RecordDecoder(const Schema& table_schema,
+                             std::vector<int> cols) {
+  if (cols.empty()) {
+    for (int i = 0; i < table_schema.num_columns(); ++i) cols.push_back(i);
+  }
+  std::vector<Column> selected;
+  selected.reserve(cols.size());
+  for (int c : cols) selected.push_back(table_schema.column(c));
+  output_schema_ = Schema(std::move(selected));
+  fields_.reserve(table_schema.num_columns());
+  for (int i = 0; i < table_schema.num_columns(); ++i) {
+    Field f{table_schema.column(i).type, static_cast<uint32_t>(outs_.size()),
+            0};
+    for (size_t k = 0; k < cols.size(); ++k) {
+      if (cols[k] == i) outs_.push_back(static_cast<int>(k));
+    }
+    f.count = static_cast<uint32_t>(outs_.size()) - f.first;
+    fields_.push_back(f);
+  }
+}
+
+Status RecordDecoder::Append(std::string_view record,
+                             ColumnData* const* out) const {
+  const char* data = record.data();
+  const size_t size = record.size();
+  size_t offset = 0;
+  auto need = [&](size_t n) -> Status {
+    if (offset + n > size) {
+      return Status::OutOfRange(StrCat("truncated value at offset ", offset));
+    }
+    return Status::OK();
+  };
+  for (const Field& f : fields_) {
+    const int* outs = outs_.data() + f.first;
+    switch (f.type) {
+      case TypeId::kInt32: {
+        FOCUS_RETURN_IF_ERROR(need(4));
+        int32_t v;
+        std::memcpy(&v, data + offset, 4);
+        for (uint32_t k = 0; k < f.count; ++k) out[outs[k]]->i32.push_back(v);
+        offset += 4;
+        break;
+      }
+      case TypeId::kInt64: {
+        FOCUS_RETURN_IF_ERROR(need(8));
+        int64_t v;
+        std::memcpy(&v, data + offset, 8);
+        for (uint32_t k = 0; k < f.count; ++k) out[outs[k]]->i64.push_back(v);
+        offset += 8;
+        break;
+      }
+      case TypeId::kDouble: {
+        FOCUS_RETURN_IF_ERROR(need(8));
+        double v;
+        std::memcpy(&v, data + offset, 8);
+        for (uint32_t k = 0; k < f.count; ++k) out[outs[k]]->f64.push_back(v);
+        offset += 8;
+        break;
+      }
+      case TypeId::kString: {
+        FOCUS_RETURN_IF_ERROR(need(2));
+        uint16_t len;
+        std::memcpy(&len, data + offset, 2);
+        offset += 2;
+        FOCUS_RETURN_IF_ERROR(need(len));
+        for (uint32_t k = 0; k < f.count; ++k) {
+          ColumnData* col = out[outs[k]];
+          col->arena.append(data + offset, len);
+          col->str_offsets.push_back(static_cast<uint32_t>(col->arena.size()));
+        }
+        offset += len;
+        break;
+      }
+    }
+  }
+  if (offset != size) {
+    return Status::InvalidArgument(
+        StrCat("trailing bytes in record: ", size - offset));
+  }
+  return Status::OK();
 }
 
 void Batch::ToTuple(size_t row, Tuple* out) const {

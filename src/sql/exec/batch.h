@@ -86,6 +86,36 @@ int CompareColumnRows(const ColumnData& a, size_t ra, const ColumnData& b,
 int CompareRowsOnKeys(const std::vector<ColumnPtr>& cols, size_t a, size_t b,
                       const std::vector<SortKey>& keys);
 
+// Decodes serialized heap records (Tuple::Serialize's format) straight
+// into typed column vectors, with Tuple::Deserialize's checks: a truncated
+// value is OutOfRange, bytes left after the last column InvalidArgument.
+// `cols` selects the output columns by table column index (empty = all,
+// in order); a pruned column is stepped over without a copy, and a column
+// named twice is appended to both outputs.
+class RecordDecoder {
+ public:
+  RecordDecoder(const Schema& table_schema, std::vector<int> cols);
+
+  // The selected columns, in output order.
+  const Schema& output_schema() const { return output_schema_; }
+
+  // Appends one record's selected values: out[k] receives table column
+  // cols[k]. The outputs must carry no NULL vector. On error the outputs
+  // may hold a partial row; discard them.
+  Status Append(std::string_view record, ColumnData* const* out) const;
+
+ private:
+  struct Field {
+    TypeId type;
+    // outs_[first, first + count): the output positions it feeds.
+    uint32_t first;
+    uint32_t count;
+  };
+  std::vector<Field> fields_;  // every table column, in record order
+  std::vector<int> outs_;
+  Schema output_schema_;
+};
+
 // A horizontal slice of a result: shared columns + implied row count.
 // Operators Reset() the caller's batch and either install fresh columns or
 // forward the child's ColumnPtrs.

@@ -407,18 +407,8 @@ BatchTableScan::BatchTableScan(const Table* table, std::vector<int> cols,
                                int batch_rows)
     : BatchOperator("table_scan"),
       table_(table),
-      cols_(std::move(cols)),
-      batch_rows_(batch_rows) {
-  if (cols_.empty()) {
-    schema_ = table_->schema();
-    for (int i = 0; i < schema_.num_columns(); ++i) cols_.push_back(i);
-  } else {
-    std::vector<Column> pruned;
-    pruned.reserve(cols_.size());
-    for (int c : cols_) pruned.push_back(table_->schema().column(c));
-    schema_ = Schema(std::move(pruned));
-  }
-}
+      decoder_(table->schema(), std::move(cols)),
+      batch_rows_(batch_rows) {}
 
 Status BatchTableScan::Open() {
   it_.emplace(table_->Scan());
@@ -427,24 +417,28 @@ Status BatchTableScan::Open() {
 
 Result<bool> BatchTableScan::DoNextBatch(Batch* out) {
   out->Reset();
+  const Schema& schema = decoder_.output_schema();
   std::vector<ColumnPtr> cols;
-  cols.reserve(cols_.size());
-  for (const Column& c : schema_.columns()) {
+  std::vector<ColumnData*> targets;
+  cols.reserve(schema.num_columns());
+  targets.reserve(schema.num_columns());
+  for (const Column& c : schema.columns()) {
     cols.push_back(NewColumn(c.type));
     cols.back()->Reserve(batch_rows_);
+    targets.push_back(cols.back().get());
   }
   storage::Rid rid;
+  std::string_view record;
+  Status decoded;
   int n = 0;
-  while (n < batch_rows_) {
-    if (!it_->Next(&rid, &row_)) {
-      FOCUS_RETURN_IF_ERROR(it_->status());
-      break;
-    }
-    for (size_t i = 0; i < cols_.size(); ++i) {
-      cols[i]->AppendValue(row_.Get(cols_[i]));
-    }
+  while (n < batch_rows_ && it_->NextRecord(&rid, &record)) {
+    decoded = decoder_.Append(record, targets.data());
+    if (!decoded.ok()) break;
     ++n;
   }
+  it_->Unpin();
+  FOCUS_RETURN_IF_ERROR(decoded);
+  FOCUS_RETURN_IF_ERROR(it_->status());
   if (n == 0) return false;
   for (ColumnPtr& c : cols) out->AddColumn(std::move(c));
   return true;

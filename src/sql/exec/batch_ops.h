@@ -85,7 +85,10 @@ using BatchOperatorPtr = std::unique_ptr<BatchOperator>;
 
 // Heap scan in batches. `cols` prunes the output to those columns (empty
 // = all) — plans over CRAWL read two of its columns and never copy URL
-// payloads into the batch arena.
+// payloads into the batch arena. Each NextBatch pins one heap page at a
+// time, decodes its records straight into the batch's column vectors
+// (RecordDecoder) and unpins before it returns, so no pin outlives the
+// call.
 class BatchTableScan final : public BatchOperator {
  public:
   explicit BatchTableScan(const Table* table, std::vector<int> cols = {},
@@ -93,18 +96,18 @@ class BatchTableScan final : public BatchOperator {
 
   Status Open() override;
   void Close() override { it_.reset(); }
-  const Schema& schema() const override { return schema_; }
+  const Schema& schema() const override {
+    return decoder_.output_schema();
+  }
 
  protected:
   Result<bool> DoNextBatch(Batch* out) override;
 
  private:
   const Table* table_;
-  std::vector<int> cols_;
+  RecordDecoder decoder_;
   int batch_rows_;
-  Schema schema_;
   std::optional<Table::Iterator> it_;
-  Tuple row_;
 };
 
 // Borrowing source over a materialized ColumnSet (the batch analogue of

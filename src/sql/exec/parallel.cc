@@ -306,18 +306,8 @@ ParallelTableScan::ParallelTableScan(const Table* table,
     : BatchOperator("parallel_scan"),
       table_(table),
       dispatcher_(dispatcher),
-      cols_(std::move(cols)),
-      batch_rows_(batch_rows) {
-  if (cols_.empty()) {
-    schema_ = table_->schema();
-    for (int i = 0; i < schema_.num_columns(); ++i) cols_.push_back(i);
-  } else {
-    std::vector<Column> pruned;
-    pruned.reserve(cols_.size());
-    for (int c : cols_) pruned.push_back(table_->schema().column(c));
-    schema_ = Schema(std::move(pruned));
-  }
-}
+      decoder_(table->schema(), std::move(cols)),
+      batch_rows_(batch_rows) {}
 
 Status ParallelTableScan::Open() {
   rows_ = ColumnSet();
@@ -342,26 +332,23 @@ Result<bool> ParallelTableScan::DoNextBatch(Batch* out) {
     // constructor would alias every slot to one set.
     std::vector<ColumnSet> parts;
     parts.reserve(chunks);
-    for (size_t c = 0; c < chunks; ++c) parts.emplace_back(schema_);
+    const Schema& schema = decoder_.output_schema();
+    for (size_t c = 0; c < chunks; ++c) parts.emplace_back(schema);
     std::vector<Status> errors(chunks);
     stats_.morsels +=
         dispatcher_->ParallelFor(n, chunk, [&](size_t b, size_t e) {
           size_t c = b / chunk;
-          ColumnSet& part = parts[c];
+          std::vector<ColumnData*> targets;
+          for (int k = 0; k < schema.num_columns(); ++k) {
+            targets.push_back(parts[c].mutable_col(k));
+          }
           for (size_t i = b; i < e; ++i) {
-            auto tuple = Tuple::Deserialize(table_->schema(), records[i]);
-            if (!tuple.ok()) {
-              errors[c] = tuple.status();
-              return;
-            }
-            for (size_t k = 0; k < cols_.size(); ++k) {
-              part.mutable_col(static_cast<int>(k))
-                  ->AppendValue(tuple.value().Get(cols_[k]));
-            }
+            errors[c] = decoder_.Append(records[i], targets.data());
+            if (!errors[c].ok()) return;
           }
         });
     FOCUS_RETURN_IF_ERROR(FirstError(errors));
-    rows_ = ColumnSet(schema_);
+    rows_ = ColumnSet(schema);
     for (const ColumnSet& part : parts) AppendSet(part, &rows_);
   }
   return EmitChunk(rows_, &pos_, batch_rows_, out);

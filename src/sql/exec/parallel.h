@@ -137,10 +137,11 @@ class RadixPartitioner {
   int num_partitions_ = 1;
 };
 
-// Heap scan with parallel tuple decode: one serial pass collects the raw
-// heap records (the buffer pool is not safe for concurrent iteration),
-// then morsels deserialize record ranges into per-morsel column chunks
-// that concatenate in scan order — the exact BatchTableScan output.
+// Heap scan with parallel decode: one serial pass collects the raw heap
+// records (the buffer pool is not safe for concurrent iteration), then
+// morsels decode record ranges (RecordDecoder, as BatchTableScan does)
+// into per-morsel column chunks that concatenate in scan order — the exact
+// BatchTableScan output.
 class ParallelTableScan final : public BatchOperator {
  public:
   ParallelTableScan(const Table* table, MorselDispatcher* dispatcher,
@@ -149,7 +150,9 @@ class ParallelTableScan final : public BatchOperator {
 
   Status Open() override;
   void Close() override;
-  const Schema& schema() const override { return schema_; }
+  const Schema& schema() const override {
+    return decoder_.output_schema();
+  }
   const ParallelOpStats* parallel_stats() const override { return &stats_; }
 
  protected:
@@ -158,9 +161,8 @@ class ParallelTableScan final : public BatchOperator {
  private:
   const Table* table_;
   MorselDispatcher* dispatcher_;
-  std::vector<int> cols_;
+  RecordDecoder decoder_;
   int batch_rows_;
-  Schema schema_;
   ColumnSet rows_;
   size_t pos_ = 0;
   bool loaded_ = false;

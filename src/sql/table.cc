@@ -265,18 +265,16 @@ Status Table::ScanRecords(std::vector<std::string>* out) const {
   out->reserve(out->size() + heap_->num_records());
   storage::HeapFile::Iterator it = heap_->Scan();
   storage::Rid rid;
-  std::string record;
-  while (it.Next(&rid, &record)) out->push_back(record);
+  std::string_view record;
+  while (it.NextView(&rid, &record)) out->emplace_back(record);
   return it.status();
 }
 
 bool Table::Iterator::Next(storage::Rid* rid, Tuple* tuple) {
-  std::string record;
-  if (!it_.Next(rid, &record)) {
-    status_ = it_.status();
-    return false;
-  }
+  std::string_view record;
+  if (!NextRecord(rid, &record)) return false;
   auto t = Tuple::Deserialize(table_->schema_, record);
+  it_.Unpin();
   if (!t.ok()) {
     status_ = t.status();
     return false;

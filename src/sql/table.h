@@ -10,6 +10,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sql/schema.h"
@@ -95,10 +96,21 @@ class Table {
   // Packs `key` values per the index spec.
   Result<uint64_t> PackKey(int index_idx, const std::vector<Value>& key) const;
 
-  // Forward scan over rows.
+  // Forward scan over rows, under the heap iterator's pin rule (see
+  // storage::HeapFile::Iterator).
   class Iterator {
    public:
+    // Decodes the next row into `tuple`; holds no pin on return.
     bool Next(storage::Rid* rid, Tuple* tuple);
+    // The next row's serialized record, a view into the pinned heap page
+    // (valid until the next call): for decoders that read columns straight
+    // from the page. Call Unpin before handing control back.
+    bool NextRecord(storage::Rid* rid, std::string_view* record) {
+      if (it_.NextView(rid, record)) return true;
+      status_ = it_.status();
+      return false;
+    }
+    void Unpin() { it_.Unpin(); }
     const Status& status() const { return status_; }
 
    private:
@@ -112,10 +124,10 @@ class Table {
 
   Iterator Scan() const { return Iterator(this, heap_->Scan()); }
 
-  // Appends every serialized heap record in scan order, undecoded. The
-  // parallel table scan collects records through one pass here (the heap
-  // and buffer pool are not safe for concurrent iteration), then splits
-  // the tuple deserialization across morsels.
+  // Appends every serialized heap record in scan order, undecoded,
+  // fetching each heap page once. The parallel table scan collects records
+  // through one pass here (the heap and buffer pool are not safe for
+  // concurrent iteration), then splits the decode across morsels.
   Status ScanRecords(std::vector<std::string>* out) const;
 
  private:

@@ -158,31 +158,43 @@ Status HeapFile::CollectPages(std::vector<PageId>* out) const {
   return Status::OK();
 }
 
-bool HeapFile::Iterator::Next(Rid* rid, std::string* record) {
+bool HeapFile::Iterator::NextView(Rid* rid, std::string_view* record) {
   while (page_id_ != kInvalidPageId) {
-    PageGuard guard(file_->pool_, page_id_);
-    if (!guard.ok()) {
-      status_ = guard.status();
-      return false;
+    if (!pin_.has_value()) {
+      pin_.emplace(file_->pool_, page_id_);
+      if (!pin_->ok()) {
+        status_ = pin_->status();
+        pin_.reset();
+        return false;
+      }
     }
-    const Page* page = guard.page();
+    const Page* page = pin_->page();
     uint16_t slot_count = page->Read<uint16_t>(kOffSlotCount);
     while (slot_ < slot_count) {
       uint16_t slot = slot_++;
       uint16_t offset = page->Read<uint16_t>(SlotEntryOffset(slot));
       if (offset == kTombstone) continue;
       uint16_t length = page->Read<uint16_t>(SlotEntryOffset(slot) + 2);
-      record->assign(page->data + offset, length);
+      *record = std::string_view(page->data + offset, length);
       *rid = Rid{page_id_, slot};
       return true;
     }
     page_id_ = page->Read<uint32_t>(kOffNext);
     slot_ = 0;
+    pin_.reset();
     // Chained heap pages are allocated roughly in order: stream a window
     // ahead so a full scan pays one seek per batch, not one per page.
     file_->pool_->MaybePrefetchChain(page_id_);
   }
   return false;
+}
+
+bool HeapFile::Iterator::Next(Rid* rid, std::string* record) {
+  std::string_view view;
+  bool found = NextView(rid, &view);
+  if (found) record->assign(view);
+  Unpin();
+  return found;
 }
 
 }  // namespace focus::storage

@@ -8,6 +8,7 @@
 #define FOCUS_STORAGE_HEAP_FILE_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -70,11 +71,27 @@ class HeapFile {
   PageId last_page_id() const { return last_page_id_; }
 
   // Forward scan over live records in page order.
+  //
+  // Pin rule: no iterator holds a pin between calls of its owner. A
+  // caller that walks records through NextView keeps the current page
+  // pinned only while it decodes that page's records, and calls Unpin
+  // before it returns control (external sort keeps hundreds of run
+  // cursors open in a small pool, so a cursor parked on a pin would
+  // starve it). Next copies the record and unpins before it returns.
   class Iterator {
    public:
-    // Advances to the next live record. Returns false at end-of-file or on
-    // error (check status()).
+    // Advances to the next live record and points `record` into the
+    // pinned page: valid until the next NextView, Next or Unpin. The page
+    // stays pinned across calls that stay on it, so a caller walking a
+    // whole page fetches it once. Returns false, holding no pin, at
+    // end-of-file or on error (check status()).
+    bool NextView(Rid* rid, std::string_view* record);
+    // NextView plus a copy into `record`; holds no pin on return.
     bool Next(Rid* rid, std::string* record);
+    // Drops the current page's pin (idempotent). The position is kept: the
+    // next NextView fetches the page again and resumes after the last
+    // record returned.
+    void Unpin() { pin_.reset(); }
     const Status& status() const { return status_; }
 
    private:
@@ -84,6 +101,8 @@ class HeapFile {
     const HeapFile* file_;
     PageId page_id_;
     uint16_t slot_ = 0;
+    // The pin on page_id_, held between NextView calls on one page.
+    std::optional<PageGuard> pin_;
     Status status_;
   };
 

@@ -15,6 +15,7 @@
 #include "core/focus.h"
 #include "core/sample_taxonomy.h"
 #include "crawl/batch_evaluator.h"
+#include "crawl/crawl_db.h"
 #include "crawl/frontier.h"
 #include "crawl/metrics.h"
 #include "crawl/monitor.h"
@@ -35,6 +36,7 @@ using crawl::Frontier;
 using crawl::FrontierEntry;
 using crawl::PageJudgment;
 using crawl::PriorityPolicy;
+using crawl::ServerIdOf;
 using crawl::ShardedFrontier;
 using taxonomy::Cid;
 using taxonomy::Taxonomy;
@@ -135,13 +137,15 @@ TEST(ShardedFrontierTest, LookupEraseAndSnapshotSpanShards) {
   EXPECT_TRUE(frontier.Contains(105));
   std::string seen_url;
   EXPECT_TRUE(frontier.UpdateIfPresent(
-      105, [&](FrontierEntry* e) { seen_url = e->url; }));
+      ServerIdOf("http://host5/p"), 105,
+      [&](FrontierEntry* e) { seen_url = e->url; }));
   EXPECT_EQ(seen_url, "http://host5/p");
 
   frontier.Erase(105);
   EXPECT_FALSE(frontier.Contains(105));
   // An absent entry (e.g. popped by another worker) is not re-inserted.
-  EXPECT_FALSE(frontier.UpdateIfPresent(105, [](FrontierEntry*) {}));
+  EXPECT_FALSE(frontier.UpdateIfPresent(ServerIdOf("http://host5/p"), 105,
+                                        [](FrontierEntry*) {}));
 
   std::vector<FrontierEntry> all = frontier.Snapshot();
   EXPECT_EQ(all.size(), 19u);
@@ -152,11 +156,47 @@ TEST(ShardedFrontierTest, LookupEraseAndSnapshotSpanShards) {
 
   // An update re-ranks: the raised entry is its shard's best.
   EXPECT_TRUE(frontier.UpdateIfPresent(
-      106, [](FrontierEntry* e) { e->relevance = 0.99; }));
+      ServerIdOf("http://host6/p"), 106,
+      [](FrontierEntry* e) { e->relevance = 0.99; }));
   std::optional<FrontierEntry> best =
       frontier.PopPreferShard(frontier.ShardOf("http://host6/p"));
   ASSERT_TRUE(best.has_value());
   EXPECT_EQ(best->oid, 106u);
+}
+
+TEST(ShardedFrontierTest, UpdateIfPresentProbesOnlyTheServersShard) {
+  ShardedFrontier frontier(PriorityPolicy::kAggressiveDiscovery, 8);
+  std::vector<std::string> urls;
+  for (int i = 0; i < 40; ++i) {
+    urls.push_back("http://host" + std::to_string(i) + "/p");
+    frontier.AddOrUpdate(Entry(200 + i, urls.back(), 0.1));
+  }
+  // Every entry is reached through its own server id, on its own shard.
+  for (int i = 0; i < 40; ++i) {
+    const int32_t sid = ServerIdOf(urls[i]);
+    EXPECT_EQ(frontier.ShardOfServer(sid), frontier.ShardOf(urls[i]));
+    std::string seen_url;
+    EXPECT_TRUE(frontier.UpdateIfPresent(
+        sid, 200 + i, [&](FrontierEntry* e) {
+          seen_url = e->url;
+          e->relevance = 0.5;
+        }));
+    EXPECT_EQ(seen_url, urls[i]);
+  }
+  // A server id routed to another shard misses the entry: only one shard
+  // is probed, and nothing is inserted or changed.
+  const int home = frontier.ShardOf(urls[0]);
+  int32_t other_sid = -1;
+  for (int i = 1; i < 40 && other_sid < 0; ++i) {
+    if (frontier.ShardOf(urls[i]) != home) other_sid = ServerIdOf(urls[i]);
+  }
+  ASSERT_GE(other_sid, 0);
+  EXPECT_FALSE(frontier.UpdateIfPresent(
+      other_sid, 200, [](FrontierEntry* e) { e->relevance = 0.99; }));
+  EXPECT_EQ(frontier.size(), 40u);
+  for (const FrontierEntry& e : frontier.Snapshot()) {
+    EXPECT_DOUBLE_EQ(e.relevance, 0.5) << e.url;
+  }
 }
 
 FocusOptions TinyOptions(uint64_t seed) {

@@ -1,7 +1,8 @@
 // Vectorized-engine equivalence: every batch operator against its scalar
 // oracle on randomized inputs, batch-boundary edge cases (empty input,
 // exactly one batch, batch-size-1), and end-to-end scalar-vs-vectorized
-// runs of the Figure 3 (BulkProbe) and Figure 4 (JoinDistiller) plans.
+// runs of the Figure 3 (BulkProbe) and Figure 4 (JoinDistiller) plans,
+// and the heap-page batch scan against the Tuple-path SeqScan.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,6 +25,7 @@
 #include "sql/exec/dictionary.h"
 #include "sql/exec/join.h"
 #include "sql/exec/operator.h"
+#include "sql/exec/scan.h"
 #include "sql/exec/sort.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
@@ -85,6 +87,272 @@ std::vector<std::string> RowStrings(BatchOperatorPtr op) {
 // The batch sizes every equivalence case sweeps: batch-size-1, a size
 // that straddles batch boundaries, exactly-one-batch, and the default.
 const int kBatchSizes[] = {1, 7, 64, kDefaultBatchRows};
+
+// ---- Heap scan: page-view decode against the Tuple path ----
+
+// Drains a batch operator into rows of Values.
+Result<std::vector<std::vector<Value>>> BatchRows(BatchOperator* op) {
+  std::vector<std::vector<Value>> rows;
+  FOCUS_RETURN_IF_ERROR(op->Open());
+  Batch b;
+  for (;;) {
+    FOCUS_ASSIGN_OR_RETURN(bool more, op->NextBatch(&b));
+    if (!more) break;
+    for (size_t r = 0; r < b.num_rows(); ++r) {
+      std::vector<Value> row;
+      for (int c = 0; c < b.num_columns(); ++c) row.push_back(b.ValueAt(r, c));
+      rows.push_back(std::move(row));
+    }
+  }
+  op->Close();
+  return rows;
+}
+
+// The Tuple path (SeqScan), projected onto `cols`.
+std::vector<std::vector<Value>> OracleRows(const Table* table,
+                                           const std::vector<int>& cols) {
+  SeqScan scan(table);
+  auto tuples = Collect(&scan);
+  EXPECT_TRUE(tuples.ok()) << tuples.status();
+  std::vector<std::vector<Value>> rows;
+  for (const Tuple& t : tuples.value()) {
+    std::vector<Value> row;
+    for (int c : cols) row.push_back(t.Get(c));
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
+void ExpectSameRows(const std::vector<std::vector<Value>>& got,
+                    const std::vector<std::vector<Value>>& want,
+                    const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (size_t r = 0; r < got.size(); ++r) {
+    ASSERT_EQ(got[r].size(), want[r].size()) << where << " row " << r;
+    for (size_t c = 0; c < got[r].size(); ++c) {
+      ASSERT_EQ(got[r][c].type(), want[r][c].type()) << where;
+      ASSERT_TRUE(got[r][c] == want[r][c])
+          << where << " row " << r << " col " << c << ": "
+          << got[r][c].ToString() << " vs " << want[r][c].ToString();
+    }
+  }
+}
+
+// A multi-page heap of all four types (variable-length strings, some
+// empty), with scattered deletes plus every slot of the third page but
+// one and the last slot of the first page tombstoned.
+struct ScanFixture {
+  storage::MemDiskManager disk;
+  storage::BufferPool pool;
+  Catalog catalog;
+  Table* table = nullptr;
+  // Live rows per heap page, in chain order.
+  std::vector<size_t> live_per_page;
+
+  explicit ScanFixture(size_t frames = 16) : pool(&disk, frames),
+                                             catalog(&pool) {
+    table = catalog.CreateTable("T", MixedSchema(), {}).value();
+    Rng rng(41);
+    std::vector<storage::Rid> rids;
+    for (int i = 0; i < 900; ++i) {
+      std::string s(rng.Uniform(40), 'a' + static_cast<char>(i % 26));
+      rids.push_back(
+          table
+              ->Insert(Tuple({Value::Int32(i - 450),
+                              Value::Int64(int64_t{1} << 40 | i),
+                              Value::Double(rng.NextDouble() * 100 - 50),
+                              Value::Str(std::move(s))}))
+              .value());
+    }
+    storage::PageId first = rids.front().page_id;
+    storage::PageId third = storage::kInvalidPageId;
+    std::vector<storage::PageId> pages;
+    for (const storage::Rid& rid : rids) {
+      if (pages.empty() || pages.back() != rid.page_id) {
+        pages.push_back(rid.page_id);
+      }
+    }
+    if (pages.size() > 2) third = pages[2];
+    size_t last_of_first = 0;
+    for (size_t i = 0; i < rids.size(); ++i) {
+      if (rids[i].page_id == first) last_of_first = i;
+    }
+    bool kept_one = false;
+    for (size_t i = 0; i < rids.size(); ++i) {
+      bool drop = i % 9 == 4 || i == last_of_first;
+      if (rids[i].page_id == third) {
+        drop = kept_one;
+        kept_one = true;
+      }
+      if (drop) {
+        EXPECT_TRUE(table->Delete(rids[i]).ok());
+      }
+    }
+    auto it = table->Scan();
+    storage::Rid rid;
+    Tuple t;
+    storage::PageId at = storage::kInvalidPageId;
+    while (it.Next(&rid, &t)) {
+      if (rid.page_id != at) live_per_page.push_back(0);
+      at = rid.page_id;
+      ++live_per_page.back();
+    }
+    EXPECT_TRUE(it.status().ok());
+  }
+};
+
+TEST(BatchTableScanTest, MatchesTuplePathAcrossPagesColumnsAndBatchSizes) {
+  ScanFixture fx;
+  ASSERT_GE(fx.live_per_page.size(), 5u);
+  ASSERT_EQ(fx.live_per_page[2], 1u);
+  const size_t first_page = fx.live_per_page[0];
+  const size_t total = fx.table->num_rows();
+  // Batch sizes ending exactly at the first page's end, one short of it
+  // and one past it (mid-page), plus the generic sweep and one batch for
+  // the whole table.
+  std::vector<int> sizes(std::begin(kBatchSizes), std::end(kBatchSizes));
+  for (size_t n : {first_page - 1, first_page, first_page + 1, total,
+                   total + 5}) {
+    sizes.push_back(static_cast<int>(n));
+  }
+  const std::vector<std::vector<int>> col_sets = {
+      {}, {0, 1, 2, 3}, {3}, {1, 2}, {3, 0}, {2, 1, 0, 3}, {3, 3, 0, 1, 1},
+      {2, 2}};
+  for (const std::vector<int>& cols : col_sets) {
+    std::vector<int> all = cols;
+    if (all.empty()) all = {0, 1, 2, 3};
+    std::vector<std::vector<Value>> want = OracleRows(fx.table, all);
+    ASSERT_EQ(want.size(), total);
+    for (int bs : sizes) {
+      BatchTableScan scan(fx.table, cols, bs);
+      ASSERT_EQ(scan.schema().num_columns(), static_cast<int>(all.size()));
+      auto got = BatchRows(&scan);
+      ASSERT_TRUE(got.ok()) << got.status();
+      ExpectSameRows(got.value(), want,
+                     StrCat("cols=", all.size(), " batch_rows=", bs));
+    }
+  }
+}
+
+TEST(BatchTableScanTest, FetchesEachHeapPageOncePerBatch) {
+  ScanFixture fx(/*frames=*/64);
+  const uint64_t pages = fx.live_per_page.size();
+  uint64_t before = fx.pool.stats().fetches;
+  // Room for every row, so the first batch also reaches end-of-file.
+  BatchTableScan one_batch(fx.table, {},
+                           static_cast<int>(fx.table->num_rows()) + 1);
+  ASSERT_TRUE(BatchRows(&one_batch).ok());
+  EXPECT_EQ(fx.pool.stats().fetches - before, pages);
+  // A batch boundary costs at most one re-fetch of the page it falls on.
+  before = fx.pool.stats().fetches;
+  BatchTableScan small(fx.table, {}, 100);
+  ASSERT_TRUE(BatchRows(&small).ok());
+  uint64_t batches = (fx.table->num_rows() + 99) / 100;
+  EXPECT_LE(fx.pool.stats().fetches - before, pages + batches);
+}
+
+TEST(BatchTableScanTest, SchemaMismatchFailsLikeTupleDeserialize) {
+  ScanFixture fx;
+  TableLayout layout = fx.table->Layout();
+  struct Case {
+    Schema schema;
+    StatusCode want;
+  };
+  const std::vector<Case> cases = {
+      // One column more than stored: the record runs out (OutOfRange).
+      {Schema({{"a", TypeId::kInt32}, {"b", TypeId::kInt64},
+               {"x", TypeId::kDouble}, {"s", TypeId::kString},
+               {"extra", TypeId::kInt64}}),
+       StatusCode::kOutOfRange},
+      // A wider leading type: int32 read as int64 shifts every later
+      // column; the string length lands on double bytes and overruns.
+      {Schema({{"a", TypeId::kInt64}, {"b", TypeId::kInt64},
+               {"x", TypeId::kDouble}, {"s", TypeId::kString}}),
+       StatusCode::kOutOfRange},
+      // One column fewer than stored: the string is left over
+      // (InvalidArgument).
+      {Schema({{"a", TypeId::kInt32}, {"b", TypeId::kInt64},
+               {"x", TypeId::kDouble}}),
+       StatusCode::kInvalidArgument},
+  };
+  std::string record;
+  {
+    storage::Rid rid;
+    auto it = fx.table->Scan();
+    std::string_view view;
+    ASSERT_TRUE(it.NextRecord(&rid, &view));
+    record.assign(view);
+  }
+  for (size_t i = 0; i < cases.size(); ++i) {
+    const Case& c = cases[i];
+    auto direct = Tuple::Deserialize(c.schema, record);
+    ASSERT_FALSE(direct.ok()) << "case " << i;
+    ASSERT_EQ(direct.status().code(), c.want) << "case " << i;
+    auto attached = Table::Attach(&fx.pool, StrCat("W", i), c.schema, {},
+                                  layout);
+    ASSERT_TRUE(attached.ok());
+    SeqScan oracle(attached.value().get());
+    auto oracle_rows = Collect(&oracle);
+    ASSERT_FALSE(oracle_rows.ok()) << "case " << i;
+    EXPECT_EQ(oracle_rows.status().code(), c.want) << "case " << i;
+    for (std::vector<int> cols : {std::vector<int>{}, std::vector<int>{0}}) {
+      for (int bs : {1, kDefaultBatchRows}) {
+        BatchTableScan scan(attached.value().get(), cols, bs);
+        auto got = BatchRows(&scan);
+        ASSERT_FALSE(got.ok()) << "case " << i;
+        EXPECT_EQ(got.status().code(), c.want)
+            << "case " << i << " batch_rows=" << bs << " " << got.status();
+      }
+    }
+  }
+  // A failed scan left no page pinned: the whole 16-frame pool still
+  // serves a fresh scan of the real table.
+  BatchTableScan scan(fx.table, {}, 1);
+  EXPECT_TRUE(BatchRows(&scan).ok());
+}
+
+TEST(BatchTableScanTest, InterleavedScansHoldNoPinBetweenCalls) {
+  // 16 scans open at once over an 8-frame pool: a scan that kept its page
+  // pinned between NextBatch calls would leave no frame to fetch into.
+  ScanFixture fx(/*frames=*/8);
+  ASSERT_GT(fx.live_per_page.size(), 8u);
+  std::vector<std::vector<Value>> want = OracleRows(fx.table, {0, 1, 2, 3});
+  constexpr int kScans = 16;
+  std::vector<std::unique_ptr<BatchTableScan>> scans;
+  std::vector<std::vector<std::vector<Value>>> got(kScans);
+  std::vector<bool> done(kScans, false);
+  for (int i = 0; i < kScans; ++i) {
+    // Distinct batch sizes so the scans sit on different pages.
+    scans.push_back(
+        std::make_unique<BatchTableScan>(fx.table, std::vector<int>{},
+                                         13 + 17 * i));
+    ASSERT_TRUE(scans.back()->Open().ok());
+  }
+  for (int live = kScans; live > 0;) {
+    for (int i = 0; i < kScans; ++i) {
+      if (done[i]) continue;
+      Batch b;
+      auto more = scans[i]->NextBatch(&b);
+      ASSERT_TRUE(more.ok()) << "scan " << i << ": " << more.status();
+      if (!more.value()) {
+        done[i] = true;
+        --live;
+        continue;
+      }
+      for (size_t r = 0; r < b.num_rows(); ++r) {
+        std::vector<Value> row;
+        for (int c = 0; c < b.num_columns(); ++c) {
+          row.push_back(b.ValueAt(r, c));
+        }
+        got[i].push_back(std::move(row));
+      }
+    }
+  }
+  for (int i = 0; i < kScans; ++i) {
+    scans[i]->Close();
+    ExpectSameRows(got[i], want, StrCat("scan ", i));
+  }
+}
 
 TEST(BatchAdapterTest, VectorizeDevectorizeRoundTripsExactly) {
   Rng rng(101);
